@@ -42,13 +42,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("detect", help="fit traces, calibrate, find TLS events")
     p.add_argument("--config", type=Path, help="pipeline config JSON")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--jobs", type=int, default=1, help="parallel fit workers")
     _add_common(p, ["pipeline", "trace", "fits", "series", "events",
                     "calibration", "detection_meta"])
 
     p = subs.add_parser("infer", help="posterior TLS count and density")
     p.add_argument("--config", type=Path, help="pipeline config JSON")
-    p.add_argument("--seed", type=int, help="override the config seed")
     _add_common(p, ["pipeline", "detection_meta", "calibration", "posterior",
                     "estimate"])
 
@@ -114,7 +112,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             out = cmd_simulate(cfg, args.outdir)
         elif args.command == "detect":
-            out = cmd_detect(cfg, args.outdir, jobs=args.jobs)
+            out = cmd_detect(cfg, args.outdir)
         elif args.command == "infer":
             out = cmd_infer(cfg, args.outdir)
         else:  # pragma: no cover

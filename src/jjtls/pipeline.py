@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -80,8 +79,8 @@ def cmd_simulate(cfg: dict, outdir: Path) -> dict:
     return {"n_traces": len(sweep.traces), "outdir": str(outdir)}
 
 
-def _fit_one(path_str: str):
-    trace = trace_from_csv(Path(path_str))
+def _fit_one(path: Path):
+    trace = trace_from_csv(path)
     try:
         fit = fit_hanger(trace)
     except Exception:
@@ -94,14 +93,7 @@ def _fit_one(path_str: str):
     return trace, fit
 
 
-def _fit_all(paths, jobs: int):
-    if jobs <= 1:
-        return [_fit_one(str(p)) for p in paths]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_fit_one, [str(p) for p in paths], chunksize=8))
-
-
-def cmd_detect(cfg: dict, outdir: Path, *, jobs: int = 1) -> dict:
+def cmd_detect(cfg: dict, outdir: Path) -> dict:
     """Fit traces, calibrate the detector, and emit the detected events."""
     t0 = time.perf_counter()
     outdir = Path(outdir)
@@ -109,7 +101,7 @@ def cmd_detect(cfg: dict, outdir: Path, *, jobs: int = 1) -> dict:
     if not trace_files:
         raise SchemaError(f"no trace files under {outdir / 'traces'}; "
                           "run simulate first or point --outdir at recorded data")
-    fitted = _fit_all(trace_files, jobs)
+    fitted = [_fit_one(p) for p in trace_files]
     traces = tuple(t for t, _ in fitted)
     fits = tuple(f for _, f in fitted)
 
@@ -252,8 +244,7 @@ def cmd_infer(cfg: dict, outdir: Path) -> dict:
     files.append(p)
 
     lam_grid = np.linspace(0.0, max(3.0 * post.lambda_star, 3.0), 121)
-    lvals = np.array([marginal_likelihood(inp.n_detected, inp.n_bins, rates, g)
-                      for g in lam_grid])
+    lvals = marginal_likelihood(inp.n_detected, inp.n_bins, rates, lam_grid)
     if lvals.max() > 0:
         lvals = lvals / lvals.max()
     top = Panel(title="marginal likelihood of the TLS rate",
@@ -364,12 +355,25 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
     atomic_write_text(p, "\n".join(rows) + "\n")
     files.append(p)
 
-    # collinearity clustering + ridge permutation importance
+    # collinearity clustering + ridge permutation importance; a constant
+    # column has no rank correlation with anything, so it is left out
+    varying = []
+    for j, name in enumerate(feat_names):
+        if np.ptp(X[:, j]) == 0:
+            notices.append(f"{name} is constant; left out of clustering and importance")
+        else:
+            varying.append(j)
+    Xv = X[:, varying]
+    names = [feat_names[j] for j in varying]
     report = None
-    if X.shape[0] >= 4:
-        sel = cluster_features(X, tls_density)
-        rep_names = [feat_names[j] for j in sel.representatives]
-        rr = ridge_permutation_importance(X[:, list(sel.representatives)],
+    if X.shape[0] < 4:
+        notices.append("clustering/importance skipped: fewer than 4 devices")
+    elif len(varying) < 2:
+        notices.append("clustering/importance skipped: fewer than 2 varying features")
+    else:
+        sel = cluster_features(Xv, tls_density)
+        rep_names = [names[j] for j in sel.representatives]
+        rr = ridge_permutation_importance(Xv[:, list(sel.representatives)],
                                           tls_density, alpha=sel.ridge_alpha,
                                           repeats=repeats, seed=seed,
                                           feature_names=rep_names)
@@ -377,7 +381,7 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
             "threshold": sel.threshold,
             "loocv_r2": rr.loocv_r2,
             "ridge_alpha": rr.ridge_alpha,
-            "clusters": [[feat_names[j] for j in c] for c in sel.clusters],
+            "clusters": [[names[j] for j in c] for c in sel.clusters],
             "representatives": rep_names,
             "importances": {k: list(v) for k, v in rr.importances.items()},
             "ranking": rr.ranking(),
@@ -393,8 +397,6 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
         p = outdir / "importance.svg"
         render(panel, p)
         files.append(p)
-    else:
-        notices.append("clustering/importance skipped: fewer than 4 devices")
 
     # density distributions per treatment with gamma overlays
     panel = Panel(title="TLS density distributions by treatment",

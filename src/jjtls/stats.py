@@ -9,6 +9,7 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import squareform
 from scipy.special import digamma, gammaincc, ndtr, ndtri, polygamma, stdtr
+from scipy.stats import rankdata
 
 from .errors import ConvergenceError, DegenerateDataError, ValidationError
 
@@ -88,21 +89,6 @@ def shapiro_wilk(samples) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Kruskal-Wallis rank test
 
-def _rankdata(x: np.ndarray) -> np.ndarray:
-    """Average ranks with ties."""
-    order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(x.size)
-    sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
 def kruskal_wallis(groups) -> tuple[float, float]:
     """Kruskal-Wallis H with tie correction; p from chi-square (k-1 df)."""
     gs = [np.asarray(g, dtype=float) for g in groups]
@@ -112,7 +98,7 @@ def kruskal_wallis(groups) -> tuple[float, float]:
         raise ValidationError("every group needs at least 2 samples")
     pooled = np.concatenate(gs)
     N = pooled.size
-    ranks = _rankdata(pooled)
+    ranks = rankdata(pooled)
     idx = 0
     S = 0.0
     for g in gs:
@@ -226,8 +212,8 @@ def spearman(x, y, *, method: str = "t", n_resamples: int = 10000,
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
-    rx = _rankdata(xa)
-    ry = _rankdata(ya)
+    rx = rankdata(xa)
+    ry = rankdata(ya)
     rho, p_t = pearson(rx, ry)
     if method == "t":
         return rho, p_t
@@ -304,8 +290,7 @@ class ClusterSelection:
 
 
 def _spearman_matrix(X: np.ndarray) -> np.ndarray:
-    ranks = np.column_stack([_rankdata(X[:, j]) for j in range(X.shape[1])])
-    return np.corrcoef(ranks, rowvar=False)
+    return np.corrcoef(rankdata(X, axis=0), rowvar=False)
 
 
 def cluster_features(features, target, *, alpha: float | None = None,
@@ -329,6 +314,11 @@ def cluster_features(features, target, *, alpha: float | None = None,
         raise ValidationError(f"need >= 4 observations, got {X.shape[0]}")
     if X.shape[0] != y.size:
         raise ValidationError("feature rows and target length differ")
+    constant = np.flatnonzero(np.ptp(X, axis=0) == 0)
+    if constant.size:
+        raise DegenerateDataError(
+            f"feature column {int(constant[0])} is constant; its rank "
+            "correlations are undefined")
 
     corr = _spearman_matrix(X)
     dist = 1.0 - np.abs(corr)
@@ -376,7 +366,6 @@ class RegressionReport:
     ridge_alpha: float
     loocv_r2: float
     importances: dict[str, tuple[float, float]]  # name -> (mean drop, std)
-    feature_clusters: tuple[tuple[str, ...], ...] = ()
 
     def ranking(self) -> list[str]:
         return sorted(self.importances, key=lambda k: -self.importances[k][0])

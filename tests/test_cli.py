@@ -212,6 +212,29 @@ class TestInfer:
         total = sum(float(r.split(",")[1]) for r in rows)
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_likelihood_vector_built_at_most_twice(self, tmp_path, monkeypatch):
+        # once for the posterior, once for the likelihood curve in posterior.svg
+        import jjtls.inference as inference
+
+        real, calls = inference.likelihood_vector, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(inference, "likelihood_vector", counting)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "detection_meta.json").write_text(json.dumps(
+            {"n_detected": 4, "n_bins": 80, "delta_f_GHz": 0.08,
+             "kappa_GHz": 0.001}))
+        (out / "calibration.json").write_text(json.dumps(
+            {"threshold": 1e-4, "fp": 0.02, "fn": 0.35, "noise_sigma": 0.005,
+             "gauss_noise": [5e-5, 1e-5], "gauss_tls": [3e-4, 5e-5]}))
+        cfg = write_config(tmp_path)
+        assert main(["infer", "--config", str(cfg), "--outdir", str(out)]) == 0
+        assert 1 <= len(calls) <= 2
+
 
 class TestCorrelate:
     def test_fixture_reports(self, tmp_path):
@@ -242,6 +265,38 @@ class TestCorrelate:
                      "--outdir", str(out), "--repeats", "10"]) == 0
         notices = json.loads((out / "notices.json").read_text())["notices"]
         assert any("only one treatment" in n for n in notices)
+
+    def test_constant_morphology_column_left_out(self, tmp_path):
+        rows = [r.split(",") for r in
+                (FIXTURES / "morphology.csv").read_text().strip().splitlines()]
+        col = rows[0].index("junction_thickness_std")
+        for r in rows[1:]:
+            r[col] = "0.34"
+        p = tmp_path / "constant.csv"
+        p.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        out = tmp_path / "corr"
+        assert main(["correlate", "--densities", str(FIXTURES / "densities.csv"),
+                     "--morphology", str(p), "--outdir", str(out),
+                     "--repeats", "10"]) == 0
+        notices = json.loads((out / "notices.json").read_text())["notices"]
+        assert any("junction_thickness_std is constant" in n for n in notices)
+        report = json.loads((out / "correlation_report.json").read_text())
+        assert all("junction_thickness_std" not in c for c in report["clusters"])
+
+    def test_one_varying_morphology_column_skips_clustering(self, tmp_path):
+        rows = [r.split(",") for r in
+                (FIXTURES / "morphology.csv").read_text().strip().splitlines()]
+        for r in rows[1:]:
+            r[2:-1] = ["1.0"] * len(r[2:-1])
+        p = tmp_path / "flat.csv"
+        p.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        out = tmp_path / "corr"
+        assert main(["correlate", "--densities", str(FIXTURES / "densities.csv"),
+                     "--morphology", str(p), "--outdir", str(out),
+                     "--repeats", "10"]) == 0
+        notices = json.loads((out / "notices.json").read_text())["notices"]
+        assert any("fewer than 2 varying features" in n for n in notices)
+        assert not (out / "correlation_report.json").exists()
 
     def test_missing_column_named(self, tmp_path, capsys):
         rows = (FIXTURES / "densities.csv").read_text().splitlines()

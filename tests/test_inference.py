@@ -96,6 +96,26 @@ class TestDetectionLikelihood:
                 got = detection_likelihood(n_m, n_t, 51, r)
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
 
+    @pytest.mark.parametrize("B,n_m,fp,fn", [(51, 3, 0.05, 0.2), (51, 11, 0.05, 0.2),
+                                             (1000, 5, 0.02, 0.35),
+                                             (1000, 55, 0.02, 0.35)])
+    def test_vector_matches_scipy_binomial_convolution(self, B, n_m, fp, fn):
+        # the missed count n_t - j is binomial(n_t, FN): written with
+        # p = 1 - FN, scipy would round away the low digits of FN.  n_m stays
+        # at survey scale; the running log sums drift as n_m grows (2.5e-12
+        # relative at n_m = 300 of B = 1000)
+        from scipy.stats import binom
+
+        r = true_rates(fp, fn)
+        n_t = np.arange(B + 1)[:, None]
+        j = np.arange(n_m + 1)
+        want = np.sum(binom.pmf(n_t - j, n_t, r.FN) * binom.pmf(n_m - j, B - n_t, r.FP),
+                      axis=1)
+        got = likelihood_vector(n_m, B, r)
+        big = want > 1e-300
+        np.testing.assert_allclose(got[big], want[big], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got[~big], want[~big], rtol=0, atol=1e-300)
+
 
 class TestMarginalLikelihood:
     R = true_rates(0.05, 0.3)
@@ -126,6 +146,16 @@ class TestMarginalLikelihood:
             p = marginal_likelihood(nm, B, r, lam)
             se = math.sqrt(max(p * (1 - p), 1e-12) / n)
             assert abs(counts[nm] - p) <= 4 * se + 2e-4
+
+    def test_array_of_rates_matches_one_at_a_time(self):
+        lams = np.array([0.0, 0.7, 4.2, 30.0])
+        got = marginal_likelihood(3, 60, self.R, lams)
+        want = [marginal_likelihood(3, 60, self.R, float(g)) for g in lams]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_negative_rate_in_array_rejected(self):
+        with pytest.raises(ValidationError):
+            marginal_likelihood(3, 60, self.R, np.array([1.0, -0.5]))
 
 
 class TestMleLambda:

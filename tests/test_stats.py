@@ -283,6 +283,12 @@ class TestClusterFeatures:
         with pytest.raises(ValidationError):
             cluster_features(np.ones((3, 4)), np.ones(3))
 
+    def test_constant_column_is_degenerate(self):
+        X, y = latent_factor_design(0)
+        X[:, 3] = 0.34
+        with pytest.raises(DegenerateDataError, match="column 3"):
+            cluster_features(X, y)
+
 
 class TestRidgePermutationImportance:
     def test_signal_feature_ranked_first(self):
