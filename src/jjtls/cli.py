@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 validation/schema error, 2 numerical failure.
+Exit codes: 0 success, 1 validation/schema or file-system error, 2 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -125,6 +126,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

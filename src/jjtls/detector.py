@@ -9,7 +9,7 @@ and flag five-point peak shapes above a calibrated threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -17,8 +17,8 @@ from scipy.signal import savgol_filter
 from scipy.special import ndtr
 
 from .errors import (CalibrationError, ConvergenceError, DegenerateDataError,
-                     ValidationError)
-from .fitting import FitResult, fit_flux_parabola, fit_hanger, residual_metric
+                     NoResonanceError, ValidationError)
+from .fitting import FAILED_FIT, FitResult, fit_flux_parabola, fit_hanger
 from .physics import (RNG_CAL_NOISE, RNG_THRESHOLD, ResonatorParams, Trace,
                       TLSDefect, hanger_s21, tls_s21)
 
@@ -176,26 +176,20 @@ def curve_follow(instrument, bias_plan, span: float, n_points: int,
     last_params: ResonatorParams | None = None
     for k, bias in enumerate(plan):
         trace = instrument(bias, center, span, n_points)
-        try:
-            fit = fit_hanger(trace)
-            if not fit.converged and last_params is not None:
-                retry = fit_hanger(trace, init=replace(last_params, f_r=center or
-                                                       last_params.f_r))
-                if retry.converged:
-                    fit = retry
-        except Exception:
-            fit = None
-            if last_params is not None:
-                try:
-                    fit = fit_hanger(trace, init=last_params)
-                except Exception:
-                    fit = None
-        if fit is None or not fit.converged:
+        # background seeding first, then a warm start from the last good
+        # fit; the first result stands unless a later one converged
+        fit = FAILED_FIT
+        for init in (None,) if last_params is None else (None, last_params):
+            try:
+                attempt = fit_hanger(trace, init=init)
+            except NoResonanceError:
+                continue
+            if fit is FAILED_FIT or attempt.converged:
+                fit = attempt
+            if fit.converged:
+                break
+        if not fit.converged:
             failed.append(k)
-            if fit is None:
-                fit = FitResult(params=last_params or ResonatorParams(1.0, 1.0, 2.0),
-                                residual_metric=float("inf"), converged=False,
-                                param_uncertainties={})
         else:
             center = fit.params.f_r
             last_params = fit.params
@@ -289,7 +283,9 @@ def calibrate_noise(baseline_trace: Trace, fit: FitResult, *,
     is bisected (common random numbers, so the objective is monotone)
     until agreement within ``tolerance`` (relative).
     """
-    measured = residual_metric(baseline_trace, fit.params)
+    measured = fit.residual_metric
+    if not math.isfinite(measured):
+        raise CalibrationError("baseline fit has no finite residual metric")
     if measured < 1e-18:
         return 0.0
     grid = baseline_trace.freqs
@@ -299,13 +295,12 @@ def calibrate_noise(baseline_trace: Trace, fit: FitResult, *,
         + 1j * rng.standard_normal((ensemble, grid.size))
 
     def median_metric(sigma: float) -> float:
-        vals = []
+        vals = np.empty(ensemble)
         for k in range(ensemble):
             tr = Trace(freqs=grid, s21=model + sigma * unit[k],
                        bias_current=baseline_trace.bias_current)
-            refit = fit_hanger(tr, init=fit.params)
-            vals.append(residual_metric(tr, refit.params))
-        return float(np.median(vals))
+            vals[k] = fit_hanger(tr, init=fit.params).residual_metric
+        return float(np.median(_finite_members(vals)))
 
     mean_mag = float(np.mean(np.abs(baseline_trace.s21)))
     sigma = math.sqrt(measured * mean_mag / 2.0)
@@ -331,6 +326,16 @@ def calibrate_noise(baseline_trace: Trace, fit: FitResult, *,
     raise ConvergenceError(
         f"noise calibration did not reach {tolerance:.0%} agreement "
         f"in {max_iter} iterations")
+
+
+def _finite_members(metrics: np.ndarray) -> np.ndarray:
+    """The metrics; a refit that left the physical region (inf) is an error."""
+    bad = int(np.count_nonzero(~np.isfinite(metrics)))
+    if bad:
+        raise CalibrationError(
+            f"{bad} of {metrics.size} calibration refits have a non-finite "
+            "residual metric (unphysical fitted resonator)")
+    return metrics
 
 
 def critical_tls(params: ResonatorParams, *, temperature: float = 0.010) -> TLSDefect:
@@ -387,10 +392,8 @@ def build_threshold(params: ResonatorParams, noise_sigma: float,
         for k in range(ensemble_size):
             noisy = model + noise_sigma * (rng.standard_normal(grid.size)
                                            + 1j * rng.standard_normal(grid.size))
-            tr = Trace(freqs=grid, s21=noisy)
-            refit = fit_hanger(tr, init=params)
-            out[k] = residual_metric(tr, refit.params)
-        return out
+            out[k] = fit_hanger(Trace(freqs=grid, s21=noisy), init=params).residual_metric
+        return _finite_members(out)
 
     m_noise = ensemble_metrics(base_model)
     m_tls = ensemble_metrics(tls_model)

@@ -52,10 +52,12 @@ pipeline config (JSON object)
     "calibration": ("calibration.json — threshold, fp, fn, noise_sigma, "
                     "gauss_noise [mean, std], gauss_tls [mean, std]"),
     "detection_meta": ("detection_meta.json — n_detected, n_bins, delta_f_GHz, "
-                       "kappa_GHz, rates {fp, fn, FP, FN}"),
+                       "kappa_GHz, n_traces, n_included, "
+                       "exclusions [[first, last, reason], ...]"),
     "posterior": "posterior.csv — header: n_t,prob",
     "estimate": ("estimate.json — rho, ci68 [lo, hi], lambda_star, mean_count, "
-                 "delta_f_GHz, area_um2 (density units: 1 / GHz / um^2)"),
+                 "count_ci68 [lo, hi], delta_f_GHz, area_um2, "
+                 "rates {fp, fn, FP, FN} (density units: 1 / GHz / um^2)"),
     "densities": "densities.csv — header: treatment,resonator_id,rho,ci_lo,ci_hi",
     "morphology": ("morphology.csv — header: device_label,"
                    "electrode_thickness_mean,electrode_thickness_std,"

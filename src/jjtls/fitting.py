@@ -9,8 +9,9 @@ import numpy as np
 from scipy.optimize import least_squares
 from scipy.signal import savgol_filter
 
-from .errors import (DegenerateDataError, NoResonanceError, ValidationError)
-from .physics import PARAM_NAMES, ResonatorParams, Trace
+from .errors import (DegenerateDataError, InvalidParameterError, NoResonanceError,
+                     ValidationError)
+from .physics import ResonatorParams, Trace, hanger_jacobian, hanger_model
 
 SNR_CAP = 1e12
 
@@ -36,12 +37,16 @@ class FitResult:
     params: ResonatorParams
     residual_metric: float
     converged: bool
-    param_uncertainties: dict[str, float]
     n_evals: int = 0
 
     @property
     def kappa(self) -> float:
         return self.params.kappa
+
+
+# stands in for a trace that could not be fitted at all
+FAILED_FIT = FitResult(params=ResonatorParams(1.0, 1.0, 2.0),
+                       residual_metric=float("inf"), converged=False)
 
 
 def _sg_window(n: int) -> int:
@@ -104,56 +109,33 @@ def background_split(trace: Trace, *, rel_floor: float = 0.1,
     return BackgroundSplit(resonance_mask=mask)
 
 
+def _metric(res: np.ndarray, data: np.ndarray) -> float:
+    """Residual metric from the stacked [real, imag] deviations ``res``."""
+    m = data.size
+    var = float(np.var(res[:m]) + np.var(res[m:]))
+    denom = float(np.mean(np.abs(data)))
+    if denom <= 0 or not math.isfinite(denom):
+        raise DegenerateDataError("mean |S21| is zero; metric undefined")
+    return var / denom
+
+
 def residual_metric(trace: Trace, params: ResonatorParams) -> float:
     """Var(data - model) / Mean(|data|).
 
     The variance of the complex deviations is the sum of the per-quadrature
     variances; the normalization is the mean magnitude of the data.
     """
-    from .physics import hanger_s21
-
-    model = hanger_s21(params, trace.freqs)
-    dev = trace.s21 - model
-    var = float(np.var(dev.real) + np.var(dev.imag))
-    denom = float(np.mean(np.abs(trace.s21)))
-    if denom <= 0 or not math.isfinite(denom):
-        raise DegenerateDataError("mean |S21| is zero; metric undefined")
-    return var / denom
-
-
-def _hanger_model(p: np.ndarray, f: np.ndarray) -> np.ndarray:
-    f_r, Q_l, Q_e, th, A, al, pv, p0 = p
-    x = (f - f_r) / f_r
-    bg = A * (1.0 + al * x)
-    dip = 1.0 - (Q_l / Q_e) * np.exp(1j * th) / (1.0 + 2j * Q_l * x)
-    return bg * dip * np.exp(1j * (pv * f + p0))
+    params.validate()
+    return _metric(_residuals(params.as_array(), trace.freqs, trace.s21), trace.s21)
 
 
 def _residuals(p: np.ndarray, f: np.ndarray, data: np.ndarray) -> np.ndarray:
-    s = _hanger_model(p, f) - data
+    s = hanger_model(p, f) - data
     return np.concatenate([s.real, s.imag])
 
 
 def _jacobian(p: np.ndarray, f: np.ndarray, data: np.ndarray) -> np.ndarray:
-    f_r, Q_l, Q_e, th, A, al, pv, p0 = p
-    x = (f - f_r) / f_r
-    D = 1.0 + 2j * Q_l * x
-    E = np.exp(1j * (pv * f + p0))
-    bg = A * (1.0 + al * x)
-    lor = (Q_l / Q_e) * np.exp(1j * th) / D
-    R = 1.0 - lor
-    S = bg * R * E
-    dxdfr = -f / f_r**2
-    dRdx = lor * 2j * Q_l / D
-    dS = np.empty((8, f.size), dtype=complex)
-    dS[0] = E * (A * al * dxdfr * R + bg * dRdx * dxdfr)
-    dS[1] = -bg * E * (np.exp(1j * th) / Q_e) / D**2
-    dS[2] = bg * E * lor / Q_e
-    dS[3] = -1j * bg * E * lor
-    dS[4] = S / A
-    dS[5] = A * x * R * E
-    dS[6] = 1j * f * S
-    dS[7] = 1j * S
+    dS = hanger_jacobian(p, f)
     return np.concatenate([dS.real, dS.imag], axis=1).T
 
 
@@ -197,7 +179,9 @@ def fit_hanger(trace: Trace, init: ResonatorParams | None = None,
     Without an explicit initial guess, seeds come from the background
     filter (amplitude and phase slopes from the background region, f_r and
     Q_l from the resonance width).  Non-convergence is reported through the
-    ``converged`` flag, never raised.
+    ``converged`` flag; only a background seeding that finds no resonance
+    raises (NoResonanceError).  The residual metric is taken from the final
+    least-squares residual.
     """
     f = trace.freqs
     data = trace.s21
@@ -216,37 +200,20 @@ def fit_hanger(trace: Trace, init: ResonatorParams | None = None,
         res = least_squares(_residuals, p0, jac=_jacobian, args=(f, data),
                             method="trf", bounds=(lower, upper), x_scale="jac",
                             ftol=1e-10, xtol=1e-12, gtol=1e-12, max_nfev=max_nfev)
-        popt, nfev, success = res.x, int(res.nfev), bool(res.success)
-    except Exception:
+        popt, fun, nfev, success = res.x, res.fun, int(res.nfev), bool(res.success)
+    except (ValueError, np.linalg.LinAlgError):
         popt, nfev, success = p0, 0, False
-        res = None
+        fun = _residuals(p0, f, data)
 
     params = ResonatorParams.from_array(popt)
     try:
         params.validate()
-        valid = True
-    except Exception:
-        valid = False
-
-    uncertainties = {name: float("nan") for name in PARAM_NAMES}
-    if res is not None and valid:
-        dof = max(2 * len(trace) - 8, 1)
-        try:
-            jtj = res.jac.T @ res.jac
-            cov = np.linalg.pinv(jtj) * (2.0 * res.cost / dof)
-            sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
-            uncertainties = dict(zip(PARAM_NAMES, (float(s) for s in sig)))
-        except Exception:
-            pass
-
-    try:
-        metric = residual_metric(trace, params) if valid else float("inf")
-    except Exception:
+        metric = _metric(fun, data)
+    except (InvalidParameterError, DegenerateDataError):
         metric = float("inf")
 
     return FitResult(params=params, residual_metric=metric,
-                     converged=success and valid and math.isfinite(metric),
-                     param_uncertainties=uncertainties, n_evals=nfev)
+                     converged=success and math.isfinite(metric), n_evals=nfev)
 
 
 def estimate_snr(trace: Trace) -> float:

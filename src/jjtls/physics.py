@@ -159,19 +159,52 @@ def thermal_population(f_tls: float, temperature: float, *,
     return math.tanh(ratio)
 
 
-def hanger_s21(params: ResonatorParams, f) -> np.ndarray | complex:
-    """Complex hanger transmission at frequency f [GHz].
+def _background(p: np.ndarray, f: np.ndarray):
+    """x = (f - f_r) / f_r, background A (1 + alpha x), phase exp(i (phi_v f + phi_0))."""
+    f_r, A, alpha, phi_v, phi_0 = p[0], p[4], p[5], p[6], p[7]
+    x = (f - f_r) / f_r
+    return x, A * (1.0 + alpha * x), np.exp(1j * (phi_v * f + phi_0))
+
+
+def hanger_model(p: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Hanger S21 for the 8-vector p in PARAM_NAMES order, unvalidated.
 
     S21 = A (1 + alpha x) (1 - (Q_l/|Q_e|) e^{i theta} / (1 + 2 i Q_l x))
           * exp(i (phi_v f + phi_0)),   x = (f - f_r) / f_r
     """
+    x, bg, E = _background(p, f)
+    Q_l, Q_e, theta = p[1], p[2], p[3]
+    dip = 1.0 - (Q_l / Q_e) * np.exp(1j * theta) / (1.0 + 2j * Q_l * x)
+    return bg * dip * E
+
+
+def hanger_jacobian(p: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Analytic dS21/dp of :func:`hanger_model`: shape (8, f.size), PARAM_NAMES rows."""
+    f_r, Q_l, Q_e, th, A, al = p[0], p[1], p[2], p[3], p[4], p[5]
+    x, bg, E = _background(p, f)
+    D = 1.0 + 2j * Q_l * x
+    lor = (Q_l / Q_e) * np.exp(1j * th) / D
+    R = 1.0 - lor
+    S = bg * R * E
+    dxdfr = -f / f_r**2
+    dRdx = lor * 2j * Q_l / D
+    dS = np.empty((8, f.size), dtype=complex)
+    dS[0] = E * (A * al * dxdfr * R + bg * dRdx * dxdfr)
+    dS[1] = -bg * E * (np.exp(1j * th) / Q_e) / D**2
+    dS[2] = bg * E * lor / Q_e
+    dS[3] = -1j * bg * E * lor
+    dS[4] = S / A
+    dS[5] = A * x * R * E
+    dS[6] = 1j * f * S
+    dS[7] = 1j * S
+    return dS
+
+
+def hanger_s21(params: ResonatorParams, f) -> np.ndarray | complex:
+    """Complex hanger transmission at frequency f [GHz] (see :func:`hanger_model`)."""
     params.validate()
     farr = np.asarray(f, dtype=float)
-    x = (farr - params.f_r) / params.f_r
-    bg = params.A * (1.0 + params.alpha * x)
-    dip = 1.0 - (params.Q_l / params.Q_e_mag) * np.exp(1j * params.theta) \
-        / (1.0 + 2j * params.Q_l * x)
-    out = bg * dip * np.exp(1j * (params.phi_v * farr + params.phi_0))
+    out = hanger_model(params.as_array(), farr)
     return out if farr.ndim else complex(out)
 
 
@@ -202,9 +235,8 @@ def tls_s21(params: ResonatorParams, tls: TLSDefect, f, *,
     dip = 1.0 - 0.5 * w_r * inv_qe / (1j * (w - w_r) + w_r / (2.0 * params.Q_l)
                                       + 1j * g_w * chi)
 
-    x = (farr - params.f_r) / params.f_r
-    bg = params.A * (1.0 + params.alpha * x)
-    out = bg * dip * np.exp(1j * (params.phi_v * farr + params.phi_0))
+    _, bg, E = _background(params.as_array(), farr)
+    out = bg * dip * E
     return out if farr.ndim else complex(out)
 
 

@@ -13,21 +13,22 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+from scipy.special import gammainc
 
-from .detector import (apply_exclusions, build_threshold, calibrate_noise,
-                       curve_follow, find_peaks, normalize_axis)
-from .errors import CalibrationError, SchemaError
+from .detector import (SweepDataset, apply_exclusions, build_threshold,
+                       calibrate_noise, curve_follow, find_peaks, normalize_axis)
+from .errors import CalibrationError, JJTLSError, NoResonanceError, SchemaError
 from .fileio import (SCHEMAS, atomic_write_text,
                      calibration_from_dict, calibration_to_dict, events_to_csv,
                      fits_to_csv, fnum, load_scenario, read_densities_csv,
                      read_json, read_morphology_csv, scenario_to_dict,
                      series_to_csv, sweep_plan, trace_from_csv, trace_to_csv,
                      write_json)
-from .fitting import fit_hanger, residual_metric
-from .inference import (InferenceInput, aggregate_device, density,
-                        marginal_likelihood, posterior, true_rates)
+from .fitting import FAILED_FIT, fit_hanger
+from .inference import (DensityEstimate, InferenceInput, aggregate_device,
+                        density, marginal_likelihood, posterior, true_rates)
 from .manifest import write_manifest
-from .physics import scenario_instrument
+from .physics import ResonatorParams, scenario_instrument
 from .stats import (cluster_features, gamma_fit, kruskal_wallis, pearson,
                     ridge_permutation_importance, shapiro_wilk, spearman)
 from .svgplot import Panel, render
@@ -83,13 +84,8 @@ def _fit_one(path: Path):
     trace = trace_from_csv(path)
     try:
         fit = fit_hanger(trace)
-    except Exception:
-        from .fitting import FitResult
-        from .physics import ResonatorParams
-
-        fit = FitResult(params=ResonatorParams(1.0, 1.0, 2.0),
-                        residual_metric=float("inf"), converged=False,
-                        param_uncertainties={})
+    except NoResonanceError:
+        fit = FAILED_FIT
     return trace, fit
 
 
@@ -104,8 +100,6 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
     fitted = [_fit_one(p) for p in trace_files]
     traces = tuple(t for t, _ in fitted)
     fits = tuple(f for _, f in fitted)
-
-    from .detector import SweepDataset
 
     sweep = SweepDataset(traces=traces, fits=fits)
     manual = [tuple(iv) for iv in cfg["sweep"].get("exclusions", [])]
@@ -139,8 +133,6 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
 
     # average fitted parameters over the calibration interval
     pvecs = np.array([fits[i].params.as_array() for i in cal_idx])
-    from .physics import ResonatorParams
-
     cal_params = ResonatorParams.from_array(pvecs.mean(axis=0))
     calib = build_threshold(cal_params, noise_sigma,
                             ensemble_size=int(det_cfg.get("ensemble_size", 5000)),
@@ -290,7 +282,7 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
         try:
             W, pv = shapiro_wilk(vals)
             rows.append(f"{t},{len(vals)},{fnum(W)},{fnum(pv)}")
-        except Exception as exc:
+        except JJTLSError as exc:
             notices.append(f"shapiro failed for {t}: {exc}")
     p = outdir / "normality_tests.csv"
     atomic_write_text(p, "\n".join(rows) + "\n")
@@ -315,8 +307,6 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
     files.append(p)
 
     # gamma fits and device aggregates per treatment
-    from .inference import DensityEstimate
-
     rows = ["treatment,n,shape,scale,mean,mean_stderr"]
     agg_rows = ["treatment,n,rho_mean,sigma_plus,sigma_minus"]
     for t in treatments:
@@ -333,7 +323,7 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
             gf = gamma_fit(vals)
             rows.append(f"{t},{len(vals)},{fnum(gf.shape)},{fnum(gf.scale)},"
                         f"{fnum(gf.mean)},{fnum(gf.mean_stderr)}")
-        except Exception as exc:
+        except JJTLSError as exc:
             notices.append(f"gamma fit failed for {t}: {exc}")
     p = outdir / "gamma_fits.csv"
     atomic_write_text(p, "\n".join(rows) + "\n")
@@ -349,7 +339,7 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
             r, rp = pearson(X[:, j], tls_density)
             s, sp = spearman(X[:, j], tls_density)
             rows.append(f"{name},{fnum(r)},{fnum(rp)},{fnum(s)},{fnum(sp)}")
-        except Exception as exc:
+        except JJTLSError as exc:
             notices.append(f"correlation skipped for {name}: {exc}")
     p = outdir / "feature_correlations.csv"
     atomic_write_text(p, "\n".join(rows) + "\n")
@@ -401,8 +391,6 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
     # density distributions per treatment with gamma overlays
     panel = Panel(title="TLS density distributions by treatment",
                   xlabel="rho [1 / GHz / um^2]", ylabel="empirical CDF")
-    from scipy.special import gammainc
-
     for t in treatments:
         vals = np.sort([r["rho"] for r in by_treatment[t]])
         steps = np.arange(1, vals.size + 1) / vals.size
@@ -415,7 +403,7 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
                 xs = np.linspace(0, float(vals.max()) * 1.3, 80)
                 panel.add_line(xs, gammainc(gf.shape, xs / gf.scale),
                                f"{t} gamma fit")
-            except Exception:
+            except JJTLSError:
                 pass
     p = outdir / "densities.svg"
     render(panel, p)

@@ -63,7 +63,9 @@ def shapiro_wilk(samples) -> tuple[float, float]:
     a = _sw_weights(n)
     xc = x - x.mean()
     W = float(np.dot(a, x) ** 2 / np.dot(xc, xc))
-    W = min(W, 1.0)
+    if W >= 1.0:
+        # the sample lies exactly on its normal scores; log1p(-W) is undefined
+        return 1.0, 1.0
 
     if n == 3:
         p = (6.0 / math.pi) * (math.asin(math.sqrt(W)) - math.asin(math.sqrt(0.75)))
@@ -80,8 +82,6 @@ def shapiro_wilk(samples) -> tuple[float, float]:
         ln = math.log(n)
         mu = -1.5861 + ln * (-0.31082 + ln * (-0.083751 + ln * 0.0038915))
         sigma = math.exp(-0.4803 + ln * (-0.082676 + ln * 0.0030302))
-        if W >= 1.0:
-            return 1.0, 1.0
         z = (math.log1p(-W) - mu) / sigma
     return W, float(1.0 - ndtr(z))
 

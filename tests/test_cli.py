@@ -206,6 +206,16 @@ class TestInfer:
         assert main(["infer", "--config", str(cfg), "--outdir", str(out)]) == 1
         assert "detect" in capsys.readouterr().err
 
+    def test_outdir_under_regular_file(self, tmp_path, capsys):
+        # a file-system error is a one-line message with exit code 1
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        cfg = write_config(tmp_path)
+        assert main(["infer", "--config", str(cfg),
+                     "--outdir", str(blocker / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
     def test_posterior_csv_normalized(self, full_run):
         _, out = full_run
         rows = (out / "posterior.csv").read_text().strip().splitlines()[1:]
@@ -319,6 +329,16 @@ class TestSchemaAndReport:
     def test_schema_flag_on_command(self, capsys):
         assert main(["simulate", "--schema"]) == 0
         assert "scenario.json" in capsys.readouterr().out
+
+    def test_written_keys_documented(self, full_run):
+        from jjtls.pipeline import schema_text
+
+        _, out = full_run
+        for name, fname in (("detection_meta", "detection_meta.json"),
+                            ("estimate", "estimate.json")):
+            text = schema_text(name)
+            for key in json.loads((out / fname).read_text()):
+                assert key in text, f"{fname}: {key} not in schema"
 
     def test_unknown_schema_name(self, capsys):
         assert main(["schema", "nope"]) == 1

@@ -5,10 +5,10 @@ from jjtls.detector import (DetectorCalibration,
                             ResidualSeries, SweepDataset, apply_exclusions,
                             build_threshold, calibrate_noise, critical_tls,
                             curve_follow, find_peaks, normalize_axis)
-from jjtls.errors import DegenerateDataError, ValidationError
-from jjtls.fitting import fit_hanger, residual_metric
+from jjtls.errors import CalibrationError, DegenerateDataError, ValidationError
+from jjtls.fitting import FAILED_FIT, FitResult, fit_hanger, residual_metric
 from jjtls.physics import (FluxConfig, ResonatorParams, Scenario, TLSDefect,
-                           flux_to_freq, scenario_instrument, synth_trace)
+                           Trace, flux_to_freq, scenario_instrument, synth_trace)
 
 RES = ResonatorParams(f_r=5.0, Q_l=5000.0, Q_e_mag=10000.0)
 KAPPA = RES.kappa
@@ -64,6 +64,60 @@ class TestCurveFollow:
         assert np.median(sweep.residuals[cold]) < 2 * baseline
 
 
+def stub_instrument(traces):
+    """Serves the prepared trace at index ``bias``, ignoring the center."""
+    return lambda bias, f_center, span, n_points: traces[int(bias)]
+
+
+def good_and_flat_traces():
+    grid = np.linspace(5.0 - 5 * KAPPA, 5.0 + 5 * KAPPA, NPTS)
+    good = synth_trace(RES, [], grid, 0.002, np.random.default_rng(5))
+    flat = Trace(freqs=grid, s21=np.full(grid.size, 0.9 + 0.1j))
+    return good, flat
+
+
+class TestCurveFollowSeeds:
+    def test_flat_trace_after_good_one_fitted_from_warm_start(self):
+        good, flat = good_and_flat_traces()
+        sweep = curve_follow(stub_instrument([good, flat]), [0, 1], SPAN, NPTS)
+        first = sweep.fits[0]
+        assert first.converged and first == fit_hanger(good)
+        # background seeding finds no resonance; the warm start takes over
+        assert sweep.fits[1] == fit_hanger(flat, init=first.params)
+        assert sweep.fits[1] is not FAILED_FIT
+
+    def test_first_flat_trace_gets_failed_placeholder(self):
+        good, flat = good_and_flat_traces()
+        sweep = curve_follow(stub_instrument([flat, good]), [0, 1], SPAN, NPTS)
+        assert sweep.fits[0] is FAILED_FIT
+        assert 0 not in sweep.included_indices()
+        assert any((e.start, e.stop) == (0, 0) for e in sweep.exclusions)
+        assert sweep.fits[1].converged and 1 in sweep.included_indices()
+
+    @pytest.mark.parametrize("warm_converges", [True, False])
+    def test_unconverged_background_fit_replaced_only_by_converged_warm_fit(
+            self, monkeypatch, warm_converges):
+        import jjtls.detector as detector
+
+        good, _ = good_and_flat_traces()
+        calls = []
+
+        def stub(trace, init=None):
+            calls.append(init)
+            if len(calls) == 1:   # first step: a clean background fit
+                return FitResult(RES, 1e-5, converged=True)
+            if init is None:      # second step: background fit fails
+                return FitResult(RES, 2e-5, converged=False)
+            return FitResult(RES, 3e-5, converged=warm_converges)
+
+        monkeypatch.setattr(detector, "fit_hanger", stub)
+        sweep = curve_follow(stub_instrument([good, good]), [0, 1], SPAN, NPTS)
+        assert calls == [None, None, RES]
+        want = 3e-5 if warm_converges else 2e-5
+        assert sweep.fits[1].residual_metric == want
+        assert (1 in sweep.included_indices()) == warm_converges
+
+
 class TestApplyExclusions:
     def test_monotone_sweep_no_past_maximum(self):
         sweep = run_sweep(make_scenario(), BIASES[:20])
@@ -115,8 +169,7 @@ def synthetic_sweep(residuals, f_step=KAPPA / 4, noise_free_fit=None):
     grid = np.linspace(4.99, 5.01, 21)
     for b, f, r in zip(biases, f0, residuals):
         p = ResonatorParams(f_r=f, Q_l=5000.0, Q_e_mag=10000.0)
-        fits.append(FitResult(params=p, residual_metric=float(r), converged=True,
-                              param_uncertainties={}))
+        fits.append(FitResult(params=p, residual_metric=float(r), converged=True))
         traces.append(synth_trace(p, [], grid, 0.0, np.random.default_rng(0),
                                   bias_current=b))
     return SweepDataset(traces=tuple(traces), fits=tuple(fits))
@@ -203,6 +256,41 @@ class TestCalibrateNoise:
             refit = fit_hanger(t2, init=fit.params)
             vals.append(residual_metric(t2, refit.params))
         assert abs(np.median(vals) - measured) / measured <= 0.01
+
+
+def unphysical_refits(monkeypatch, every):
+    """Make every ``every``-th calibration refit leave the physical region."""
+    import jjtls.detector as detector
+
+    calls = []
+
+    def stub(trace, init=None):
+        calls.append(1)
+        metric = float("inf") if len(calls) % every == 0 else 1e-5 * len(calls)
+        return FitResult(init, metric, converged=metric < float("inf"))
+
+    monkeypatch.setattr(detector, "fit_hanger", stub)
+
+
+class TestUnphysicalRefits:
+    def test_build_threshold_raises_calibration_error(self, monkeypatch):
+        unphysical_refits(monkeypatch, every=10)
+        with pytest.raises(CalibrationError, match="100 of 1000"):
+            build_threshold(RES, 0.005, ensemble_size=1000)
+
+    def test_calibrate_noise_raises_calibration_error(self, monkeypatch):
+        grid = np.linspace(5.0 - 5 * KAPPA, 5.0 + 5 * KAPPA, NPTS)
+        tr = synth_trace(RES, [], grid, 0.005, np.random.default_rng(2))
+        fit = fit_hanger(tr)
+        unphysical_refits(monkeypatch, every=8)
+        with pytest.raises(CalibrationError, match="8 of 64"):
+            calibrate_noise(tr, fit)
+
+    def test_calibrate_noise_rejects_failed_baseline_fit(self):
+        grid = np.linspace(5.0 - 5 * KAPPA, 5.0 + 5 * KAPPA, NPTS)
+        tr = synth_trace(RES, [], grid, 0.005, np.random.default_rng(2))
+        with pytest.raises(CalibrationError, match="baseline"):
+            calibrate_noise(tr, FAILED_FIT)
 
 
 @pytest.fixture(scope="module")
@@ -329,7 +417,7 @@ class TestInvariants:
             for b, f, r in zip(biases, f0, residuals):
                 p = ResonatorParams(f_r=f, Q_l=5000.0, Q_e_mag=10000.0)
                 fits.append(FitResult(params=p, residual_metric=float(r),
-                                      converged=True, param_uncertainties={}))
+                                      converged=True))
                 traces.append(synth_trace(p, [], grid, 0.0,
                                           np.random.default_rng(0), bias_current=b))
             return SweepDataset(traces=tuple(traces), fits=tuple(fits))

@@ -133,6 +133,24 @@ class TestFitHanger:
         assert not fit.converged
 
 
+class TestFitMetric:
+    @pytest.mark.parametrize("sigma", [0.0, 0.005, 0.05, 0.2])
+    def test_fit_metric_equals_residual_metric(self, sigma):
+        # the fit takes its metric from the final least-squares residual;
+        # it must be the very number residual_metric computes
+        seeded = 0
+        for seed in range(6):
+            tr = make_trace(noise=sigma, seed=seed)
+            for init in (None, TRUTH):
+                try:
+                    fit = fit_hanger(tr, init=init)
+                except NoResonanceError:   # seeding may fail at low SNR
+                    continue
+                seeded += init is None
+                assert fit.residual_metric == residual_metric(tr, fit.params)
+        assert seeded >= 1
+
+
 class TestEstimateSnr:
     def test_noiseless_capped(self):
         assert estimate_snr(make_trace()) == 1e12

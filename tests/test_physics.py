@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 
 from jjtls.constants import BOLTZMANN_K, GHZ, HBAR
 from jjtls.errors import InvalidParameterError, ValidationError
-from jjtls.physics import (FluxConfig, ResonatorParams, Scenario, TLSDefect,
-                           Trace, flux_to_freq, hanger_s21, scenario_instrument,
+from jjtls.physics import (PARAM_NAMES, FluxConfig, ResonatorParams, Scenario,
+                           TLSDefect, Trace, flux_to_freq, hanger_jacobian,
+                           hanger_model, hanger_s21, scenario_instrument,
                            synth_trace, thermal_population, tls_s21,
                            virtual_measure)
 
@@ -60,6 +63,24 @@ class TestHangerS21:
         params = ResonatorParams(f_r=5.0, Q_l=5000.0, Q_e_mag=1e12)
         f = np.linspace(5.0 - 10 * KAPPA, 5.0 + 10 * KAPPA, 801)
         assert np.max(np.abs(hanger_s21(params, f) - 1.0)) < 1e-6
+
+
+class TestHangerJacobian:
+    def test_matches_central_differences_at_fixture_resonator(self):
+        fixture = Path(__file__).resolve().parent.parent / "fixtures"
+        raw = json.loads((fixture / "scenario_three_defects.json").read_text())
+        params = ResonatorParams(**raw["resonator"])
+        p, kappa = params.as_array(), params.kappa
+        f = np.linspace(params.f_r - 5 * kappa, params.f_r + 5 * kappa, 201)
+        jac = hanger_jacobian(p, f)
+        assert jac.shape == (8, f.size)
+        for i, name in enumerate(PARAM_NAMES):
+            h = 1e-6 * (kappa if name == "f_r" else max(abs(p[i]), 1.0))
+            step = np.zeros(8)
+            step[i] = h
+            fd = (hanger_model(p + step, f) - hanger_model(p - step, f)) / (2 * h)
+            err = np.max(np.abs(fd - jac[i])) / np.max(np.abs(jac[i]))
+            assert err < 1e-6, f"{name}: relative error {err:.2e}"
 
 
 class TestTlsS21:

@@ -54,6 +54,15 @@ class TestShapiroWilk:
         W, p = shapiro_wilk(scores)
         assert W > 0.99
 
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_sample_on_its_normal_scores(self, n):
+        # W rounds to 1 for a sample proportional to the weights; p is 1
+        from jjtls.stats import _sw_weights
+
+        for scale in (1.0, 3.0, 1e-3, 7.7):
+            W, p = shapiro_wilk(2.0 + scale * _sw_weights(n))
+            assert 0.99 < W <= 1.0 and 0.0 <= p <= 1.0
+
     def test_too_small_sample(self):
         with pytest.raises(ValidationError):
             shapiro_wilk([1.0, 2.0])
