@@ -12,20 +12,20 @@ import sys
 from pathlib import Path
 
 from .errors import NumericalError, ValidationError
+from .fileio import schema_text
 from .pipeline import (cmd_correlate, cmd_detect, cmd_infer, cmd_report,
-                       cmd_simulate, load_pipeline_config, schema_text)
+                       cmd_simulate, load_pipeline_config)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 
-def _add_common(sub, schema_names):
+def _add_common(sub):
     sub.add_argument("--outdir", type=Path, required=False,
                      help="run directory for stage inputs/outputs")
     sub.add_argument("--schema", action="store_true",
                      help="print the file formats this command reads/writes")
-    sub.set_defaults(schema_names=schema_names)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,18 +38,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("simulate", help="synthesize a curve-following sweep")
     p.add_argument("--config", type=Path, help="pipeline config JSON")
     p.add_argument("--seed", type=int, help="override the config seed")
-    _add_common(p, ["pipeline", "scenario", "trace"])
+    _add_common(p)
 
     p = subs.add_parser("detect", help="fit traces, calibrate, find TLS events")
     p.add_argument("--config", type=Path, help="pipeline config JSON")
     p.add_argument("--seed", type=int, help="override the config seed")
-    _add_common(p, ["pipeline", "trace", "fits", "series", "events",
-                    "calibration", "detection_meta"])
+    _add_common(p)
 
     p = subs.add_parser("infer", help="posterior TLS count and density")
     p.add_argument("--config", type=Path, help="pipeline config JSON")
-    _add_common(p, ["pipeline", "detection_meta", "calibration", "posterior",
-                    "estimate"])
+    _add_common(p)
 
     p = subs.add_parser("correlate", help="treatment and morphology statistics")
     p.add_argument("--densities", type=Path, help="per-resonator densities CSV")
@@ -57,10 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=100,
                    help="permutation importance repeats")
-    _add_common(p, ["densities", "morphology"])
+    _add_common(p)
 
     p = subs.add_parser("report", help="consolidate stage manifests")
-    _add_common(p, ["manifest"])
+    _add_common(p)
 
     p = subs.add_parser("schema", help="print documented file formats")
     p.add_argument("name", nargs="?", help="one schema name (default: all)")
@@ -83,8 +81,7 @@ def main(argv=None) -> int:
             print(schema_text(args.name))
             return EXIT_OK
         if getattr(args, "schema", False):
-            for name in args.schema_names:
-                print(schema_text(name))
+            print(schema_text(stage=args.command))
             return EXIT_OK
 
         if args.command == "report":

@@ -25,6 +25,9 @@ from .physics import (RNG_CAL_NOISE, RNG_THRESHOLD, ResonatorParams, Trace,
 EXCLUSION_REASONS = ("collision", "past-maximum", "manual")
 GRID_STEP = 0.25          # residual-series spacing, units of kappa
 MERGE_RADIUS = 1.0        # event merge radius, units of kappa
+NOISE_TOLERANCE = 0.01    # calibrate_noise: relative agreement of the metric
+NOISE_MAX_ITER = 100      # calibrate_noise: bisection steps
+CAL_SPAN = 10.0           # build_threshold: ensemble trace span, units of kappa
 
 
 @dataclass(frozen=True)
@@ -218,7 +221,7 @@ def apply_exclusions(sweep: SweepDataset, manual=()) -> SweepDataset:
 
         f0 = median_filter(candidate.f0s[idx], size=5, mode="nearest")
         p = int(np.argmax(f0))
-        step = float(np.median(np.abs(np.diff(f0)))) if idx.size > 1 else 0.0
+        step = float(np.median(np.abs(np.diff(f0))))
         floor = 5.0 * step
         if (0 < p < idx.size - 1
                 and f0[p] - f0[0] > floor and f0[p] - f0[-1] > floor):
@@ -274,14 +277,13 @@ def normalize_axis(sweep: SweepDataset, kappa: float | None = None) -> ResidualS
 
 
 def calibrate_noise(baseline_trace: Trace, fit: FitResult, *,
-                    ensemble: int = 64, tolerance: float = 0.01,
-                    max_iter: int = 100, seed: int = 0) -> float:
+                    ensemble: int = 64, seed: int = 0) -> float:
     """Noise sigma that reproduces the measured baseline residual metric.
 
     Synthetic traces are generated from the fitted parameters, refit, and
     their median residual metric compared against the measured one; sigma
     is bisected (common random numbers, so the objective is monotone)
-    until agreement within ``tolerance`` (relative).
+    until agreement within ``NOISE_TOLERANCE`` (relative).
     """
     measured = fit.residual_metric
     if not math.isfinite(measured):
@@ -314,18 +316,18 @@ def calibrate_noise(baseline_trace: Trace, fit: FitResult, *,
             break
         hi *= 4.0
 
-    for _ in range(max_iter):
+    for _ in range(NOISE_MAX_ITER):
         mid = math.sqrt(lo * hi)
         got = median_metric(mid)
-        if abs(got - measured) / measured <= tolerance:
+        if abs(got - measured) / measured <= NOISE_TOLERANCE:
             return mid
         if got < measured:
             lo = mid
         else:
             hi = mid
     raise ConvergenceError(
-        f"noise calibration did not reach {tolerance:.0%} agreement "
-        f"in {max_iter} iterations")
+        f"noise calibration did not reach {NOISE_TOLERANCE:.0%} agreement "
+        f"in {NOISE_MAX_ITER} iterations")
 
 
 def _finite_members(metrics: np.ndarray) -> np.ndarray:
@@ -363,7 +365,7 @@ def _gaussian_intersection(mu1: float, s1: float, mu2: float, s2: float) -> floa
 
 def build_threshold(params: ResonatorParams, noise_sigma: float,
                     ensemble_size: int = 5000, *, seed: int = 0,
-                    span_kappas: float = 10.0, n_points: int = 201,
+                    n_points: int = 201,
                     temperature: float = 0.010) -> DetectorCalibration:
     """Calibrate the detection threshold against the critical TLS.
 
@@ -379,8 +381,8 @@ def build_threshold(params: ResonatorParams, noise_sigma: float,
     if noise_sigma < 0:
         raise ValidationError("noise_sigma must be >= 0")
     kappa = params.kappa
-    grid = np.linspace(params.f_r - span_kappas / 2 * kappa,
-                       params.f_r + span_kappas / 2 * kappa, n_points)
+    grid = np.linspace(params.f_r - CAL_SPAN / 2 * kappa,
+                       params.f_r + CAL_SPAN / 2 * kappa, n_points)
     tls = critical_tls(params, temperature=temperature)
 
     base_model = hanger_s21(params, grid)

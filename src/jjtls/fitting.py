@@ -14,6 +14,8 @@ from .errors import (DegenerateDataError, InvalidParameterError, NoResonanceErro
 from .physics import ResonatorParams, Trace, hanger_jacobian, hanger_model
 
 SNR_CAP = 1e12
+SPLIT_REL_FLOOR = 0.1     # resonance region: derivative variance >= this * peak
+SPLIT_DEPTH_SNR = 5.0     # dip depth must exceed this many background stds
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,7 @@ def _moving_variance(x: np.ndarray, window: int) -> np.ndarray:
     return np.maximum(m2 - m1**2, 0.0)
 
 
-def background_split(trace: Trace, *, rel_floor: float = 0.1,
-                     depth_snr: float = 5.0) -> BackgroundSplit:
+def background_split(trace: Trace) -> BackgroundSplit:
     """Locate the resonance region of a trace.
 
     Smooths |S21| with a Savitzky-Golay filter, differentiates, takes a
@@ -89,7 +90,7 @@ def background_split(trace: Trace, *, rel_floor: float = 0.1,
     vmax = var[peak]
     if not np.isfinite(vmax) or vmax <= 0:
         raise NoResonanceError("derivative variance vanishes; flat trace")
-    above = var >= rel_floor * vmax
+    above = var >= SPLIT_REL_FLOOR * vmax
     idx = np.flatnonzero(above)
     i0, i1 = int(idx[0]), int(idx[-1])
     mask = np.zeros(n, dtype=bool)
@@ -102,7 +103,7 @@ def background_split(trace: Trace, *, rel_floor: float = 0.1,
     level = float(np.median(smooth[bg]))
     depth = level - float(np.min(smooth[mask]))
     noise = float(np.std(mag[bg] - smooth[bg]))
-    floor = max(depth_snr * noise, 1e-9 * abs(level))
+    floor = max(SPLIT_DEPTH_SNR * noise, 1e-9 * abs(level))
     if depth <= floor:
         raise NoResonanceError(
             f"candidate dip depth {depth:.3e} below detection floor {floor:.3e}")

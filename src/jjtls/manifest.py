@@ -2,7 +2,7 @@
 
 The manifest carries everything needed to verify a stage's outputs:
 config hash, package version, and per-file sha256.  Wall-clock timings go
-to a separate timings.json so manifests stay byte-identical across
+to a separate timings_<stage>.json so manifests stay byte-identical across
 repeated runs with the same seed.
 """
 
@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 
 from . import __version__
-from .fileio import write_json
+from .fileio import write_record
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -46,8 +46,7 @@ def write_manifest(outdir: Path, stage: str, config: dict, output_files,
         "package_version": __version__,
         "outputs": outputs,
     }
-    path = outdir / f"manifest_{stage}.json"
-    write_json(path, manifest)
+    path = write_record(outdir, "manifest", manifest, stage)
     if timings is not None:
-        write_json(outdir / f"timings_{stage}.json", timings)
+        write_record(outdir, "timings", timings, stage)
     return path

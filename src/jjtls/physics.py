@@ -208,8 +208,7 @@ def hanger_s21(params: ResonatorParams, f) -> np.ndarray | complex:
     return out if farr.ndim else complex(out)
 
 
-def tls_s21(params: ResonatorParams, tls: TLSDefect, f, *,
-            population_convention: str = "full") -> np.ndarray | complex:
+def tls_s21(params: ResonatorParams, tls: TLSDefect, f) -> np.ndarray | complex:
     """Hanger transmission with a coupled TLS.
 
     The resonance factor is
@@ -227,8 +226,7 @@ def tls_s21(params: ResonatorParams, tls: TLSDefect, f, *,
     w_t = 2.0 * math.pi * tls.f_tls
     g_w = 2.0 * math.pi * tls.g
     gamma_w = 2.0 * math.pi * tls.gamma
-    sz = thermal_population(tls.f_tls, tls.temperature,
-                            convention=population_convention)
+    sz = thermal_population(tls.f_tls, tls.temperature)
 
     chi = g_w * sz / (w_t - w + 0.5j * sz * gamma_w)
     inv_qe = np.exp(1j * params.theta) / params.Q_e_mag   # 1 / Q_e

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +18,10 @@ from scipy.special import gammainc
 from .detector import (SweepDataset, apply_exclusions, build_threshold,
                        calibrate_noise, curve_follow, find_peaks, normalize_axis)
 from .errors import CalibrationError, JJTLSError, NoResonanceError, SchemaError
-from .fileio import (SCHEMAS, atomic_write_text,
-                     calibration_from_dict, calibration_to_dict, events_to_csv,
-                     fits_to_csv, fnum, load_scenario, read_densities_csv,
-                     read_json, read_morphology_csv, scenario_to_dict,
-                     series_to_csv, sweep_plan, trace_from_csv, trace_to_csv,
-                     write_json)
+from .fileio import (SCHEMAS, calibration_from_dict, load_scenario,
+                     read_densities_csv, read_json, read_morphology_csv,
+                     read_record, run_path, sweep_plan, trace_from_csv,
+                     trace_rows, write_csv, write_record, write_text)
 from .fitting import FAILED_FIT, fit_hanger
 from .inference import (DensityEstimate, InferenceInput, aggregate_device,
                         density, marginal_likelihood, posterior, true_rates)
@@ -66,15 +64,9 @@ def cmd_simulate(cfg: dict, outdir: Path) -> dict:
     n_points = int(sweep_cfg.get("n_points", 201))
 
     sweep = curve_follow(scenario_instrument(scenario), plan, span, n_points)
-    trace_dir = outdir / "traces"
-    files = []
-    for k, trace in enumerate(sweep.traces):
-        path = trace_dir / f"trace_{k:04d}.csv"
-        atomic_write_text(path, trace_to_csv(trace))
-        files.append(path)
-    echo = outdir / "scenario_used.json"
-    write_json(echo, scenario_to_dict(scenario))
-    files.append(echo)
+    files = [write_csv(outdir, "trace", trace_rows(trace), f"{k:04d}")
+             for k, trace in enumerate(sweep.traces)]
+    files.append(write_record(outdir, "scenario_used", asdict(scenario)))
     write_manifest(outdir, "simulate", _config_for_hash(cfg), files,
                    timings={"seconds": time.perf_counter() - t0})
     return {"n_traces": len(sweep.traces), "outdir": str(outdir)}
@@ -93,9 +85,9 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
     """Fit traces, calibrate the detector, and emit the detected events."""
     t0 = time.perf_counter()
     outdir = Path(outdir)
-    trace_files = sorted((outdir / "traces").glob("trace_*.csv"))
+    trace_files = sorted(outdir.glob(SCHEMAS["trace"].path))
     if not trace_files:
-        raise SchemaError(f"no trace files under {outdir / 'traces'}; "
+        raise SchemaError(f"no trace files {outdir / SCHEMAS['trace'].path}; "
                           "run simulate first or point --outdir at recorded data")
     fitted = [_fit_one(p) for p in trace_files]
     traces = tuple(t for t, _ in fitted)
@@ -105,10 +97,9 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
     manual = [tuple(iv) for iv in cfg["sweep"].get("exclusions", [])]
     sweep = apply_exclusions(sweep, manual)
 
-    files = []
-    p = outdir / "fits.csv"
-    atomic_write_text(p, fits_to_csv(sweep.bias_currents, fits))
-    files.append(p)
+    files = [write_csv(outdir, "fits", [
+        (b, f.params.f_r, f.params.Q_l, f.params.Q_e_mag, f.params.theta,
+         f.residual_metric, int(f.converged)) for b, f in zip(sweep.bias_currents, fits)])]
 
     # --- calibration from the user-designated flat interval; on failure the
     # fit table above stays on disk for inspection
@@ -149,17 +140,11 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
     kappa = sweep.median_kappa()
     n_bins = max(int(math.floor(delta_f / kappa)), 1)
 
-    p = outdir / "residual_series.csv"
-    atomic_write_text(p, series_to_csv(series))
-    files.append(p)
-    p = outdir / "events.csv"
-    atomic_write_text(p, events_to_csv(events))
-    files.append(p)
-    p = outdir / "calibration.json"
-    write_json(p, calibration_to_dict(calib))
-    files.append(p)
-    p = outdir / "detection_meta.json"
-    write_json(p, {
+    files.append(write_csv(outdir, "series", zip(series.shift_axis, series.residuals)))
+    files.append(write_csv(outdir, "events", [
+        (e.shift_position, e.frequency, e.peak_residual) for e in events]))
+    files.append(write_record(outdir, "calibration", asdict(calib)))
+    files.append(write_record(outdir, "detection_meta", {
         "n_detected": len(events),
         "n_bins": n_bins,
         "delta_f_GHz": delta_f,
@@ -167,8 +152,7 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
         "n_traces": len(traces),
         "n_included": int(idx.size),
         "exclusions": [[e.start, e.stop, e.reason] for e in sweep.exclusions],
-    })
-    files.append(p)
+    }))
 
     panel = Panel(title="residual metric vs frequency shift",
                   xlabel="shift [kappa]", ylabel="residual metric", logy=True)
@@ -182,9 +166,7 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
         edges = np.flatnonzero(np.diff(np.concatenate([[0], in_gap.view(np.int8), [0]])))
         for a, b in zip(edges[::2], edges[1::2]):
             panel.add_vspan(series.shift_axis[a], series.shift_axis[min(b, len(series) - 1)])
-    p = outdir / "residuals.svg"
-    render(panel, p)
-    files.append(p)
+    files.append(write_text(outdir, "residuals_plot", render(panel)))
 
     write_manifest(outdir, "detect", _config_for_hash(cfg), files,
                    timings={"seconds": time.perf_counter() - t0})
@@ -196,13 +178,9 @@ def cmd_infer(cfg: dict, outdir: Path) -> dict:
     """Convert detections into a posterior TLS count and density estimate."""
     t0 = time.perf_counter()
     outdir = Path(outdir)
-    meta = read_json(outdir / "detection_meta.json")
-    calib_raw = read_json(outdir / "calibration.json")
-    for key in ("fp", "fn"):
-        if key not in calib_raw:
-            raise SchemaError(f"calibration.json: missing {key!r}; "
-                              "re-run detect to produce detector rates")
-    calib = calibration_from_dict(calib_raw)
+    meta = read_record(run_path(outdir, "detection_meta"), "detection_meta")
+    calib = calibration_from_dict(
+        read_record(run_path(outdir, "calibration"), "calibration"))
 
     inf_cfg = cfg.get("inference", {})
     if "area" not in inf_cfg:
@@ -217,13 +195,8 @@ def cmd_infer(cfg: dict, outdir: Path) -> dict:
     post = posterior(inp)
     est = density(post, delta_f=delta_f, area=area)
 
-    files = []
-    p = outdir / "posterior.csv"
-    lines = ["n_t,prob"] + [f"{k},{fnum(v)}" for k, v in enumerate(post.pmf)]
-    atomic_write_text(p, "\n".join(lines) + "\n")
-    files.append(p)
-    p = outdir / "estimate.json"
-    write_json(p, {
+    files = [write_csv(outdir, "posterior", enumerate(post.pmf))]
+    files.append(write_record(outdir, "estimate", {
         "rho": est.rho,
         "ci68": [est.ci68[0], est.ci68[1]],
         "lambda_star": post.lambda_star,
@@ -232,8 +205,7 @@ def cmd_infer(cfg: dict, outdir: Path) -> dict:
         "delta_f_GHz": delta_f,
         "area_um2": area,
         "rates": {"fp": rates.fp, "fn": rates.fn, "FP": rates.FP, "FN": rates.FN},
-    })
-    files.append(p)
+    }))
 
     lam_grid = np.linspace(0.0, max(3.0 * post.lambda_star, 3.0), 121)
     lvals = marginal_likelihood(inp.n_detected, inp.n_bins, rates, lam_grid)
@@ -248,9 +220,7 @@ def cmd_infer(cfg: dict, outdir: Path) -> dict:
     ks = np.arange(show + 1)
     bottom.add_line(ks, post.pmf[:show + 1], "posterior")
     bottom.add_vspan(post.ci68[0], post.ci68[1], "68.27% CI")
-    p = outdir / "posterior.svg"
-    render([top, bottom], p)
-    files.append(p)
+    files.append(write_text(outdir, "posterior_plot", render([top, bottom])))
 
     write_manifest(outdir, "infer", _config_for_hash(cfg), files,
                    timings={"seconds": time.perf_counter() - t0})
@@ -270,26 +240,22 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
     by_treatment = {t: [r for r in dens_rows if r["treatment"] == t]
                     for t in treatments}
     notices = []
-    files = []
 
     # normality per treatment (Shapiro-Wilk)
-    rows = ["treatment,n,W,p"]
+    rows = []
     for t in treatments:
         vals = [r["rho"] for r in by_treatment[t]]
         if len(vals) < 3:
             notices.append(f"shapiro skipped for {t}: n={len(vals)} < 3")
             continue
         try:
-            W, pv = shapiro_wilk(vals)
-            rows.append(f"{t},{len(vals)},{fnum(W)},{fnum(pv)}")
+            rows.append((t, len(vals), *shapiro_wilk(vals)))
         except JJTLSError as exc:
             notices.append(f"shapiro failed for {t}: {exc}")
-    p = outdir / "normality_tests.csv"
-    atomic_write_text(p, "\n".join(rows) + "\n")
-    files.append(p)
+    files = [write_csv(outdir, "normality_tests", rows)]
 
     # pairwise rank tests
-    rows = ["treatment_1,treatment_2,H,p"]
+    rows = []
     if len(treatments) < 2:
         notices.append("pairwise tests skipped: only one treatment present")
     else:
@@ -300,50 +266,37 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
                 if len(g1) < 2 or len(g2) < 2:
                     notices.append(f"rank test skipped for {t1} vs {t2}: group too small")
                     continue
-                H, pv = kruskal_wallis([g1, g2])
-                rows.append(f"{t1},{t2},{fnum(H)},{fnum(pv)}")
-    p = outdir / "rank_tests.csv"
-    atomic_write_text(p, "\n".join(rows) + "\n")
-    files.append(p)
+                rows.append((t1, t2, *kruskal_wallis([g1, g2])))
+    files.append(write_csv(outdir, "rank_tests", rows))
 
     # gamma fits and device aggregates per treatment
-    rows = ["treatment,n,shape,scale,mean,mean_stderr"]
-    agg_rows = ["treatment,n,rho_mean,sigma_plus,sigma_minus"]
+    rows, agg_rows = [], []
     for t in treatments:
         vals = [r["rho"] for r in by_treatment[t]]
         ests = [DensityEstimate(rho=r["rho"], ci68=(r["ci_lo"], r["ci_hi"]),
                                 delta_f=1.0, area=1.0) for r in by_treatment[t]]
         summ = aggregate_device(ests)
-        agg_rows.append(f"{t},{len(ests)},{fnum(summ.rho_mean)},"
-                        f"{fnum(summ.sigma_plus)},{fnum(summ.sigma_minus)}")
+        agg_rows.append((t, len(ests), summ.rho_mean, summ.sigma_plus, summ.sigma_minus))
         if len(vals) < 4:
             notices.append(f"gamma fit skipped for {t}: n={len(vals)} < 4")
             continue
         try:
             gf = gamma_fit(vals)
-            rows.append(f"{t},{len(vals)},{fnum(gf.shape)},{fnum(gf.scale)},"
-                        f"{fnum(gf.mean)},{fnum(gf.mean_stderr)}")
+            rows.append((t, len(vals), gf.shape, gf.scale, gf.mean, gf.mean_stderr))
         except JJTLSError as exc:
             notices.append(f"gamma fit failed for {t}: {exc}")
-    p = outdir / "gamma_fits.csv"
-    atomic_write_text(p, "\n".join(rows) + "\n")
-    files.append(p)
-    p = outdir / "device_summaries.csv"
-    atomic_write_text(p, "\n".join(agg_rows) + "\n")
-    files.append(p)
+    files.append(write_csv(outdir, "gamma_fits", rows))
+    files.append(write_csv(outdir, "device_summaries", agg_rows))
 
     # pairwise correlation of each morphology metric with density
-    rows = ["feature,pearson_r,pearson_p,spearman_rho,spearman_p"]
+    rows = []
     for j, name in enumerate(feat_names):
         try:
-            r, rp = pearson(X[:, j], tls_density)
-            s, sp = spearman(X[:, j], tls_density)
-            rows.append(f"{name},{fnum(r)},{fnum(rp)},{fnum(s)},{fnum(sp)}")
+            rows.append((name, *pearson(X[:, j], tls_density),
+                         *spearman(X[:, j], tls_density)))
         except JJTLSError as exc:
             notices.append(f"correlation skipped for {name}: {exc}")
-    p = outdir / "feature_correlations.csv"
-    atomic_write_text(p, "\n".join(rows) + "\n")
-    files.append(p)
+    files.append(write_csv(outdir, "feature_correlations", rows))
 
     # collinearity clustering + ridge permutation importance; a constant
     # column has no rank correlation with anything, so it is left out
@@ -376,17 +329,13 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
             "importances": {k: list(v) for k, v in rr.importances.items()},
             "ranking": rr.ranking(),
         }
-        p = outdir / "correlation_report.json"
-        write_json(p, report)
-        files.append(p)
+        files.append(write_record(outdir, "correlation_report", report))
 
         ranked = rr.ranking()
         panel = Panel(title="permutation importance (LOOCV R2 drop)",
                       ylabel="mean R2 drop")
         panel.add_bars(ranked, [rr.importances[k][0] for k in ranked])
-        p = outdir / "importance.svg"
-        render(panel, p)
-        files.append(p)
+        files.append(write_text(outdir, "importance_plot", render(panel)))
 
     # density distributions per treatment with gamma overlays
     panel = Panel(title="TLS density distributions by treatment",
@@ -405,13 +354,8 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
                                f"{t} gamma fit")
             except JJTLSError:
                 pass
-    p = outdir / "densities.svg"
-    render(panel, p)
-    files.append(p)
-
-    p = outdir / "notices.json"
-    write_json(p, {"notices": notices})
-    files.append(p)
+    files.append(write_text(outdir, "densities_plot", render(panel)))
+    files.append(write_record(outdir, "notices", {"notices": notices}))
 
     cfg = {"densities": str(densities_path), "morphology": str(morphology_path),
            "seed": seed, "repeats": repeats}
@@ -424,45 +368,37 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
 def cmd_report(outdir: Path) -> dict:
     """Consolidate stage manifests and headline numbers into one report."""
     outdir = Path(outdir)
-    manifests = sorted(outdir.glob("manifest_*.json"))
+    manifests = sorted(outdir.glob(SCHEMAS["manifest"].path))
     if not manifests:
         raise SchemaError(f"no stage manifests found under {outdir}")
     stages = {}
     for m in manifests:
-        data = read_json(m)
+        data = read_record(m, "manifest")
         stages[data["stage"]] = {
             "config_hash": data["config_hash"],
             "n_outputs": len(data["outputs"]),
             "outputs": [o["path"] for o in data["outputs"]],
         }
     summary = {"stages": stages}
-    for name, loader in (("detection_meta.json", "detect"),
-                         ("estimate.json", "infer")):
-        path = outdir / name
+    found = {}
+    for name in ("detection_meta", "estimate"):
+        path = run_path(outdir, name)
         if path.exists():
-            summary[name] = read_json(path)
+            summary[path.name] = found[name] = read_record(path, name)
 
     lines = ["# run report", ""]
     for stage, info in stages.items():
         lines.append(f"- stage `{stage}`: {info['n_outputs']} outputs, "
                      f"config {info['config_hash'][:12]}")
-    if "detection_meta.json" in summary:
-        meta = summary["detection_meta.json"]
+    if "detection_meta" in found:
+        meta = found["detection_meta"]
         lines.append(f"- detections: {meta['n_detected']} events over "
                      f"{meta['n_bins']} linewidth bins "
                      f"({meta['delta_f_GHz']:.6f} GHz swept)")
-    if "estimate.json" in summary:
-        est = summary["estimate.json"]
+    if "estimate" in found:
+        est = found["estimate"]
         lines.append(f"- density: rho = {est['rho']:.4g} "
                      f"[{est['ci68'][0]:.4g}, {est['ci68'][1]:.4g}] / GHz / um^2")
-    write_json(outdir / "report.json", summary)
-    atomic_write_text(outdir / "report.md", "\n".join(lines) + "\n")
+    write_record(outdir, "report", summary)
+    write_text(outdir, "report_md", "\n".join(lines) + "\n")
     return summary
-
-
-def schema_text(name: str | None = None) -> str:
-    if name is None:
-        return "\n".join(SCHEMAS[k] for k in sorted(SCHEMAS))
-    if name not in SCHEMAS:
-        raise SchemaError(f"unknown schema {name!r}; have: {', '.join(sorted(SCHEMAS))}")
-    return SCHEMAS[name]

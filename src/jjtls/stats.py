@@ -15,6 +15,9 @@ from .errors import ConvergenceError, DegenerateDataError, ValidationError
 
 ALPHA_DEFAULT = 0.05
 RIDGE_ALPHA_GRID = tuple(10.0 ** k for k in range(-3, 4))
+CLUSTER_TIE_TOL = 0.01    # LOOCV R^2 band within which cuts count as ties
+GAMMA_MAX_ITER = 200      # gamma MLE Newton steps
+GAMMA_TOL = 1e-12         # gamma MLE relative step tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +130,7 @@ class GammaFit:
     mean_stderr: float
 
 
-def gamma_fit(samples, *, max_iter: int = 200, tol: float = 1e-12) -> GammaFit:
+def gamma_fit(samples) -> GammaFit:
     """Gamma MLE via digamma Newton iterations with moment initialization.
 
     Solves log(k) - psi(k) = log(mean) - mean(log x); the fitted mean is
@@ -151,19 +154,19 @@ def gamma_fit(samples, *, max_iter: int = 200, tol: float = 1e-12) -> GammaFit:
         raise DegenerateDataError("log-moment statistic non-positive")
 
     k = mean ** 2 / var  # moment estimate
-    for _ in range(max_iter):
+    for _ in range(GAMMA_MAX_ITER):
         f = math.log(k) - digamma(k) - s
         fprime = 1.0 / k - polygamma(1, k)
         step = f / fprime
         k_new = k - step
         if k_new <= 0:
             k_new = k / 2.0
-        if abs(k_new - k) <= tol * k:
+        if abs(k_new - k) <= GAMMA_TOL * k:
             k = k_new
             break
         k = k_new
     else:
-        raise ConvergenceError(f"gamma MLE did not converge in {max_iter} iterations")
+        raise ConvergenceError(f"gamma MLE did not converge in {GAMMA_MAX_ITER} iterations")
     theta = mean / k
     stderr = theta * math.sqrt(k / x.size)
     return GammaFit(shape=float(k), scale=float(theta), mean=float(k * theta),
@@ -293,15 +296,15 @@ def _spearman_matrix(X: np.ndarray) -> np.ndarray:
     return np.corrcoef(rankdata(X, axis=0), rowvar=False)
 
 
-def cluster_features(features, target, *, alpha: float | None = None,
-                     tie_tol: float = 0.01) -> ClusterSelection:
+def cluster_features(features, target, *,
+                     alpha: float | None = None) -> ClusterSelection:
     """Group collinear features and pick one representative per group.
 
     Pairwise Spearman correlations become the distance 1 - |rho|; Ward
     linkage builds the dendrogram; every merge height is tried as a cut,
     the per-cluster representative is the feature most correlated with the
     target (|Spearman|), and the cut maximizing the ridge LOOCV R^2 over
-    the representatives wins.  Cuts scoring within ``tie_tol`` (one R^2
+    the representatives wins.  Cuts scoring within ``CLUSTER_TIE_TOL`` (one R^2
     point by default) of the best count as ties and the coarsest of them
     is kept: near-duplicate features produce score jitter of this size
     through ill-conditioned folds, and parsimony should win those ties.
@@ -351,7 +354,7 @@ def cluster_features(features, target, *, alpha: float | None = None,
                                        ridge_alpha=a))
     best_r2 = max(s.loocv_r2 for s in scored)
     # coarsest cut within the tie band
-    return max((s for s in scored if s.loocv_r2 >= best_r2 - tie_tol),
+    return max((s for s in scored if s.loocv_r2 >= best_r2 - CLUSTER_TIE_TOL),
                key=lambda s: s.threshold)
 
 

@@ -96,8 +96,8 @@ def _panel_data_range(panel: Panel):
     return x0, x1, y0 - pad, y1 + pad
 
 
-def render(panels, path=None, *, width: int = 720, panel_height: int = 300) -> str:
-    """Render panels stacked vertically; optionally write to `path`."""
+def render(panels, *, width: int = 720, panel_height: int = 300) -> str:
+    """Render panels stacked vertically as SVG text."""
     if isinstance(panels, Panel):
         panels = [panels]
     m_left, m_right, m_top, m_bottom = 64, 16, 34, 44
@@ -202,9 +202,4 @@ def render(panels, path=None, *, width: int = 720, panel_height: int = 300) -> s
             out.append(f'<text x="{cx}" y="{cy}" text-anchor="middle" '
                        f'transform="rotate(-90 {cx} {cy})">{panel.ylabel}</text>')
     out.append("</svg>")
-    text = "\n".join(out) + "\n"
-    if path is not None:
-        from .fileio import atomic_write_text
-
-        atomic_write_text(path, text)
-    return text
+    return "\n".join(out) + "\n"

@@ -1,5 +1,6 @@
 import json
 import shutil
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,50 @@ def full_run(tmp_path_factory):
     assert main(["detect", "--config", str(cfg), "--outdir", str(out)]) == 0
     assert main(["infer", "--config", str(cfg), "--outdir", str(out)]) == 0
     return cfg, out
+
+
+@pytest.fixture(scope="module")
+def all_stages(full_run):
+    """full_run plus correlate and report -> (run dir, {stage: files it wrote})."""
+    _, out = full_run
+    assert main(["correlate", "--densities", str(FIXTURES / "densities.csv"),
+                 "--morphology", str(FIXTURES / "morphology.csv"),
+                 "--outdir", str(out), "--repeats", "10"]) == 0
+    assert main(["report", "--outdir", str(out)]) == 0
+    written = {"report": ["report.json", "report.md"]}
+    for m in out.glob("manifest_*.json"):
+        data = json.loads(m.read_text())
+        written[data["stage"]] = [o["path"] for o in data["outputs"]] + [
+            m.name, f"timings_{data['stage']}.json"]
+    return out, written
+
+
+# The on-disk formats, pinned so that an edit to fileio.SCHEMAS is deliberate:
+# the CSV header, or the sorted JSON top-level keys, of every file with fields.
+PINNED_FIELDS = {
+    "trace": "current_mA,freq_GHz,re_s21,im_s21",
+    "scenario_used": "defects,flux,noise_sigma,resonator,rng_seed",
+    "fits": "current_mA,f0_GHz,Ql,Qe,theta,residual_metric,converged",
+    "series": "shift_kappa,residual",
+    "events": "shift_kappa,freq_GHz,peak_residual",
+    "calibration": "fn,fp,gauss_noise,gauss_tls,noise_sigma,threshold",
+    "detection_meta": "delta_f_GHz,exclusions,kappa_GHz,n_bins,n_detected,"
+                      "n_included,n_traces",
+    "posterior": "n_t,prob",
+    "estimate": "area_um2,ci68,count_ci68,delta_f_GHz,lambda_star,mean_count,"
+                "rates,rho",
+    "normality_tests": "treatment,n,W,p",
+    "rank_tests": "treatment_1,treatment_2,H,p",
+    "gamma_fits": "treatment,n,shape,scale,mean,mean_stderr",
+    "device_summaries": "treatment,n,rho_mean,sigma_plus,sigma_minus",
+    "feature_correlations": "feature,pearson_r,pearson_p,spearman_rho,spearman_p",
+    "correlation_report": "clusters,importances,loocv_r2,ranking,"
+                          "representatives,ridge_alpha,threshold",
+    "notices": "notices",
+    "manifest": "config_hash,outputs,package_version,stage",
+    "timings": "seconds",
+    "report": "detection_meta.json,estimate.json,stages",
+}
 
 
 class TestSimulate:
@@ -330,15 +375,47 @@ class TestSchemaAndReport:
         assert main(["simulate", "--schema"]) == 0
         assert "scenario.json" in capsys.readouterr().out
 
-    def test_written_keys_documented(self, full_run):
-        from jjtls.pipeline import schema_text
+    def test_written_files_match_schemas(self, all_stages):
+        # every file in the run directory is listed by a stage and has one
+        # schema entry; its CSV header or JSON keys are that entry's fields
+        from jjtls.fileio import SCHEMAS, schema_text
 
-        _, out = full_run
-        for name, fname in (("detection_meta", "detection_meta.json"),
-                            ("estimate", "estimate.json")):
-            text = schema_text(name)
-            for key in json.loads((out / fname).read_text()):
-                assert key in text, f"{fname}: {key} not in schema"
+        out, written = all_stages
+        assert sorted(written) == ["correlate", "detect", "infer", "report", "simulate"]
+        on_disk = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+        assert on_disk == sorted(f for files in written.values() for f in files)
+        seen = set()
+        for rel in on_disk:
+            names = [k for k, s in SCHEMAS.items() if fnmatch(rel, s.path)]
+            assert len(names) == 1, f"{rel}: schema entries {names}"
+            name = names[0]
+            s = SCHEMAS[name]
+            if rel.endswith(".csv"):
+                got = (out / rel).read_text().splitlines()[0]
+                assert got == ",".join(s.fields), rel
+            elif rel.endswith(".json"):
+                keys = sorted(json.loads((out / rel).read_text()))
+                assert keys == sorted(s.keys), rel
+                assert all(k in schema_text(name) for k in keys), rel
+                got = ",".join(keys)
+            else:
+                assert s.fields == (), rel
+                continue
+            assert got == PINNED_FIELDS[name], f"{rel}: format changed"
+            seen.add(name)
+        assert seen == set(PINNED_FIELDS)
+        for name in ("densities", "morphology"):
+            header = (FIXTURES / f"{name}.csv").read_text().splitlines()[0]
+            assert header == ",".join(SCHEMAS[name].fields)
+
+    def test_schema_flag_names_every_written_file(self, all_stages, capsys):
+        _, written = all_stages
+        for stage, files in written.items():
+            assert main([stage, "--schema"]) == 0
+            printed = [line.split(" [")[0] for line in capsys.readouterr().out.splitlines()
+                       if not line.startswith(" ")]
+            for rel in files:
+                assert any(fnmatch(rel, p) for p in printed), f"{stage}: {rel}"
 
     def test_unknown_schema_name(self, capsys):
         assert main(["schema", "nope"]) == 1

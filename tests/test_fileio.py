@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from jjtls.errors import SchemaError
-from jjtls.fileio import (atomic_write_text, load_scenario, read_densities_csv,
-                          read_morphology_csv, trace_from_csv, trace_to_csv,
-                          write_json)
+from jjtls.fileio import (load_scenario, read_densities_csv, read_morphology_csv,
+                          trace_from_csv, trace_rows, write_csv, write_json,
+                          write_record)
 from jjtls.manifest import config_hash, sha256_file, write_manifest
 from jjtls.physics import ResonatorParams, synth_trace
 from jjtls.svgplot import Panel, render
@@ -20,8 +20,8 @@ def make_trace():
 class TestTraceCsv:
     def test_round_trip_exact(self, tmp_path):
         tr = make_trace()
-        p = tmp_path / "t.csv"
-        atomic_write_text(p, trace_to_csv(tr))
+        p = write_csv(tmp_path, "trace", trace_rows(tr), "0000")
+        assert p == tmp_path / "traces" / "trace_0000.csv"
         back = trace_from_csv(p)
         assert np.array_equal(back.freqs, tr.freqs)
         assert np.array_equal(back.s21, tr.s21)
@@ -34,13 +34,28 @@ class TestTraceCsv:
             trace_from_csv(p)
 
     def test_bad_row_reports_line(self, tmp_path):
-        tr = make_trace()
-        p = tmp_path / "t.csv"
-        lines = trace_to_csv(tr).splitlines()
+        p = write_csv(tmp_path, "trace", trace_rows(make_trace()), "0000")
+        lines = p.read_text().splitlines()
         lines[10] = "oops"
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match=r":11"):
             trace_from_csv(p)
+
+
+class TestSchemaWriters:
+    def test_records_and_rows_off_the_table_rejected(self, tmp_path):
+        with pytest.raises(SchemaError, match="timings"):
+            write_record(tmp_path, "timings", {"seconds": 1.0, "load": 0.5}, "x")
+        with pytest.raises(SchemaError, match="estimate"):
+            write_record(tmp_path, "estimate", {"rho": 1.0})
+        with pytest.raises(SchemaError, match="posterior"):
+            write_csv(tmp_path, "posterior", [(0, 0.5, 1.0)])
+        assert not any(tmp_path.iterdir())
+
+    def test_optional_keys_may_be_absent(self, tmp_path):
+        p = write_record(tmp_path, "report", {"stages": {}})
+        assert p == tmp_path / "report.json"
+        assert p.read_text() == '{\n  "stages": {}\n}\n'
 
 
 class TestScenarioFile:
