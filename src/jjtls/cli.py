@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -78,10 +79,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "schema":
-            print(schema_text(args.name))
+            print(schema_text(args.name), flush=True)
             return EXIT_OK
         if getattr(args, "schema", False):
-            print(schema_text(stage=args.command))
+            print(schema_text(stage=args.command), flush=True)
             return EXIT_OK
 
         if args.command == "report":
@@ -89,7 +90,7 @@ def main(argv=None) -> int:
                 raise ValidationError("--outdir is required")
             summary = cmd_report(args.outdir)
             print(json.dumps({"stages": sorted(summary["stages"])},
-                             sort_keys=True))
+                             sort_keys=True), flush=True)
             return EXIT_OK
 
         if args.command == "correlate":
@@ -100,7 +101,7 @@ def main(argv=None) -> int:
             out = cmd_correlate(args.densities, args.morphology, args.outdir,
                                 seed=args.seed, repeats=args.repeats)
             print(json.dumps({k: out[k] for k in ("treatments", "ranking")},
-                             sort_keys=True))
+                             sort_keys=True), flush=True)
             return EXIT_OK
 
         if args.outdir is None:
@@ -115,7 +116,7 @@ def main(argv=None) -> int:
             out = cmd_infer(cfg, args.outdir)
         else:  # pragma: no cover
             raise ValidationError(f"unknown command {args.command!r}")
-        print(json.dumps(out, sort_keys=True))
+        print(json.dumps(out, sort_keys=True), flush=True)
         return EXIT_OK
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -123,6 +124,11 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except BrokenPipeError:
+        # the reader closed the pipe (`jjtls schema | head`): stop quietly;
+        # stdout goes to devnull so the interpreter's final flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

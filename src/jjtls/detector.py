@@ -8,6 +8,7 @@ and flag five-point peak shapes above a calibrated threshold.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -18,7 +19,8 @@ from scipy.special import ndtr
 
 from .errors import (CalibrationError, ConvergenceError, DegenerateDataError,
                      NoResonanceError, ValidationError)
-from .fitting import FAILED_FIT, FitResult, fit_flux_parabola, fit_hanger
+from .fitting import (FAILED_FIT, FitResult, _jacobian, _metric, _residuals,
+                      fit_flux_parabola, fit_hanger)
 from .physics import (RNG_CAL_NOISE, RNG_THRESHOLD, ResonatorParams, Trace,
                       TLSDefect, hanger_s21, tls_s21)
 
@@ -28,6 +30,10 @@ MERGE_RADIUS = 1.0        # event merge radius, units of kappa
 NOISE_TOLERANCE = 0.01    # calibrate_noise: relative agreement of the metric
 NOISE_MAX_ITER = 100      # calibrate_noise: bisection steps
 CAL_SPAN = 10.0           # build_threshold: ensemble trace span, units of kappa
+NOISE_CHUNK = 64          # ensemble members per noise block (bounds peak memory)
+GUARD_MEMBERS = 32        # members of each ensemble refitted exactly
+GUARD_MEAN = 0.05         # guard: |mean(projected - exact)| limit, in ensemble stds
+GUARD_MAX = 0.5           # guard: max |projected - exact| limit, in ensemble stds
 
 
 @dataclass(frozen=True)
@@ -276,14 +282,88 @@ def normalize_axis(sweep: SweepDataset, kappa: float | None = None) -> ResidualS
                           kappa=kappa, freq_at=freq_at, bias_at=bias_at, valid=valid)
 
 
+@dataclass(frozen=True)
+class _Tangent:
+    """The hanger fit linearised about a reference fit of a noiseless trace.
+
+    ``Q`` is an orthonormal basis of the range of the stacked real/imag
+    Jacobian at the reference parameters ``p``.  Noise ``e`` added to the
+    trace leaves the residual ``r0 - (I - Q Q^T) e`` and moves the fitted
+    parameters by ``(Q^T e) @ step``.
+    """
+
+    model: np.ndarray    # the noiseless trace
+    p: np.ndarray        # reference-fit parameters
+    r0: np.ndarray       # reference-fit stacked residual
+    Q: np.ndarray        # (2M, 8)
+    step: np.ndarray     # (8, 8)
+
+    @classmethod
+    def at(cls, grid: np.ndarray, model: np.ndarray, p: np.ndarray,
+           r0: np.ndarray) -> "_Tangent":
+        J = _jacobian(p, grid, model)
+        scale = np.linalg.norm(J, axis=0)   # column scaling keeps R well conditioned
+        Q, R = np.linalg.qr(J / scale)
+        return cls(model=model, p=p, r0=r0, Q=Q, step=np.linalg.inv(R).T / scale)
+
+    def metrics(self, sigma: float, noise: np.ndarray) -> np.ndarray:
+        """Projected residual metric of each member of a noise block.
+
+        A member whose linearised parameters leave the physical region
+        (1/Q_i < 0) gets an infinite metric, as an exact refit would.
+        """
+        e = sigma * noise.reshape(len(noise), -1)
+        qe = e @ self.Q
+        out = _metric(self.r0 - (e - qe @ self.Q.T), _members(self.model, sigma, noise))
+        p = self.p + qe @ self.step
+        out[1.0 / p[:, 1] - np.cos(p[:, 3]) / p[:, 2] < 0] = np.inf
+        return out
+
+
+def _members(model: np.ndarray, sigma: float, noise: np.ndarray) -> np.ndarray:
+    """Noisy traces of a (n, 2, M) block: row k is model + sigma (re_k + i im_k)."""
+    return model + sigma * (noise[:, 0] + 1j * noise[:, 1])
+
+
+def _noise_blocks(rng: np.random.Generator, n: int, m: int):
+    """The noise of n members in (chunk, 2, m) blocks.
+
+    Each member draws m real then m imaginary normals, in member order, so
+    the stream does not depend on the chunk size.
+    """
+    for start in range(0, n, NOISE_CHUNK):
+        yield rng.standard_normal((min(NOISE_CHUNK, n - start), 2, m))
+
+
+def _refit_metrics(grid: np.ndarray, model: np.ndarray, sigma: float, blocks,
+                   init: ResonatorParams) -> np.ndarray:
+    """Exact residual metric of every member: a warm-started hanger refit."""
+    vals = [fit_hanger(Trace(freqs=grid, s21=s21), init=init).residual_metric
+            for block in blocks for s21 in _members(model, sigma, block)]
+    return _finite_members(np.array(vals))
+
+
+def _finite_members(metrics: np.ndarray) -> np.ndarray:
+    """The metrics; a member whose fit left the physical region (inf) is an error."""
+    bad = int(np.count_nonzero(~np.isfinite(metrics)))
+    if bad:
+        raise CalibrationError(
+            f"{bad} of {metrics.size} calibration refits have a non-finite "
+            "residual metric (unphysical fitted resonator)")
+    return metrics
+
+
 def calibrate_noise(baseline_trace: Trace, fit: FitResult, *,
                     ensemble: int = 64, seed: int = 0) -> float:
     """Noise sigma that reproduces the measured baseline residual metric.
 
-    Synthetic traces are generated from the fitted parameters, refit, and
-    their median residual metric compared against the measured one; sigma
-    is bisected (common random numbers, so the objective is monotone)
-    until agreement within ``NOISE_TOLERANCE`` (relative).
+    Synthetic traces are generated from the fitted parameters and their
+    median residual metric compared against the measured one; sigma is
+    bisected (common random numbers, so the objective is monotone) until
+    agreement within ``NOISE_TOLERANCE`` (relative).  The bisection runs
+    on the metric projected onto the fit's tangent space; one exact refit
+    of the ensemble confirms the result, and if it misses the tolerance
+    the bisection continues on exact refits.
     """
     measured = fit.residual_metric
     if not math.isfinite(measured):
@@ -293,19 +373,25 @@ def calibrate_noise(baseline_trace: Trace, fit: FitResult, *,
     grid = baseline_trace.freqs
     model = hanger_s21(fit.params, grid)
     rng = np.random.default_rng([seed, RNG_CAL_NOISE])
-    unit = rng.standard_normal((ensemble, grid.size)) \
-        + 1j * rng.standard_normal((ensemble, grid.size))
+    # every member's real parts, then every member's imaginary parts
+    noise = rng.standard_normal((2, ensemble, grid.size)).swapaxes(0, 1)
+    tangent = _Tangent.at(grid, model, fit.params.as_array(), np.zeros(2 * grid.size))
 
-    def median_metric(sigma: float) -> float:
-        vals = np.empty(ensemble)
-        for k in range(ensemble):
-            tr = Trace(freqs=grid, s21=model + sigma * unit[k],
-                       bias_current=baseline_trace.bias_current)
-            vals[k] = fit_hanger(tr, init=fit.params).residual_metric
-        return float(np.median(_finite_members(vals)))
+    def projected(sigma: float) -> float:
+        return float(np.median(_finite_members(tangent.metrics(sigma, noise))))
+
+    def exact(sigma: float) -> float:
+        return float(np.median(_refit_metrics(grid, model, sigma, [noise], fit.params)))
 
     mean_mag = float(np.mean(np.abs(baseline_trace.s21)))
-    sigma = math.sqrt(measured * mean_mag / 2.0)
+    sigma = _bisect_sigma(projected, measured, math.sqrt(measured * mean_mag / 2.0))
+    if abs(exact(sigma) - measured) / measured <= NOISE_TOLERANCE:
+        return sigma
+    return _bisect_sigma(exact, measured, sigma)
+
+
+def _bisect_sigma(median_metric, measured: float, sigma: float) -> float:
+    """Bracket [sigma/4, 4 sigma], widened as needed, then bisect geometrically."""
     lo, hi = sigma / 4.0, sigma * 4.0
     for _ in range(20):
         if median_metric(lo) <= measured:
@@ -328,16 +414,6 @@ def calibrate_noise(baseline_trace: Trace, fit: FitResult, *,
     raise ConvergenceError(
         f"noise calibration did not reach {NOISE_TOLERANCE:.0%} agreement "
         f"in {NOISE_MAX_ITER} iterations")
-
-
-def _finite_members(metrics: np.ndarray) -> np.ndarray:
-    """The metrics; a refit that left the physical region (inf) is an error."""
-    bad = int(np.count_nonzero(~np.isfinite(metrics)))
-    if bad:
-        raise CalibrationError(
-            f"{bad} of {metrics.size} calibration refits have a non-finite "
-            "residual metric (unphysical fitted resonator)")
-    return metrics
 
 
 def critical_tls(params: ResonatorParams, *, temperature: float = 0.010) -> TLSDefect:
@@ -370,10 +446,18 @@ def build_threshold(params: ResonatorParams, noise_sigma: float,
     """Calibrate the detection threshold against the critical TLS.
 
     Simulates ``ensemble_size`` noisy traces without coupling and the same
-    number with the minimally detectable TLS (cooperativity 1), fits the
-    hanger model to each, and fits Gaussians to the two residual-metric
-    distributions.  The threshold is the density crossing between the two
-    means; fp and fn are the corresponding tail masses.
+    number with the minimally detectable TLS (cooperativity 1), takes the
+    residual metric of a hanger fit to each, and fits Gaussians to the two
+    residual-metric distributions.  The threshold is the density crossing
+    between the two means; fp and fn are the corresponding tail masses.
+
+    Each ensemble is fitted once without noise; every member's metric is
+    that fit's residual moved by the member's noise projected off the
+    fit's tangent space.  The first ``GUARD_MEMBERS`` members are also
+    refitted exactly.  A non-finite refit or a member whose linearised fit
+    leaves the physical region raises CalibrationError; a mean or largest
+    disagreement beyond ``GUARD_MEAN`` or ``GUARD_MAX`` ensemble stds
+    refits the whole ensemble exactly instead.
     """
     params.validate()
     if ensemble_size < 1000:
@@ -385,20 +469,34 @@ def build_threshold(params: ResonatorParams, noise_sigma: float,
                        params.f_r + CAL_SPAN / 2 * kappa, n_points)
     tls = critical_tls(params, temperature=temperature)
 
-    base_model = hanger_s21(params, grid)
-    tls_model = tls_s21(params, tls, grid)
     rng = np.random.default_rng([seed, RNG_THRESHOLD])
 
     def ensemble_metrics(model: np.ndarray) -> np.ndarray:
-        out = np.empty(ensemble_size)
-        for k in range(ensemble_size):
-            noisy = model + noise_sigma * (rng.standard_normal(grid.size)
-                                           + 1j * rng.standard_normal(grid.size))
-            out[k] = fit_hanger(Trace(freqs=grid, s21=noisy), init=params).residual_metric
-        return _finite_members(out)
+        ref = fit_hanger(Trace(freqs=grid, s21=model), init=params)
+        if not math.isfinite(ref.residual_metric):
+            raise CalibrationError("reference fit of the noiseless ensemble trace "
+                                   "left the physical region")
+        p = ref.params.as_array()
+        tangent = _Tangent.at(grid, model, p, _residuals(p, grid, model))
+        start = copy.deepcopy(rng)
 
-    m_noise = ensemble_metrics(base_model)
-    m_tls = ensemble_metrics(tls_model)
+        def replay(n: int):
+            return _noise_blocks(copy.deepcopy(start), n, grid.size)
+
+        m_lin = _finite_members(np.concatenate(
+            [tangent.metrics(noise_sigma, b)
+             for b in _noise_blocks(rng, ensemble_size, grid.size)]))
+        # guard: the first members refitted exactly, bit for bit the traces
+        # of the exact path; a disagreement sends the ensemble down that path
+        d = m_lin[:GUARD_MEMBERS] - _refit_metrics(
+            grid, model, noise_sigma, replay(GUARD_MEMBERS), params)
+        s = float(np.std(m_lin))
+        if abs(np.mean(d)) <= GUARD_MEAN * s and np.max(np.abs(d)) <= GUARD_MAX * s:
+            return m_lin
+        return _refit_metrics(grid, model, noise_sigma, replay(ensemble_size), params)
+
+    m_noise = ensemble_metrics(hanger_s21(params, grid))
+    m_tls = ensemble_metrics(tls_s21(params, tls, grid))
 
     mu1, s1 = float(np.mean(m_noise)), float(np.std(m_noise))
     mu2, s2 = float(np.mean(m_tls)), float(np.std(m_tls))

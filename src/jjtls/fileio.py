@@ -145,8 +145,9 @@ synthetic measurement campaign (JSON object)
     "manifest": _schema("manifest_*.json", _STAGES, "report",
                         "stage config_hash package_version outputs",
                         "* is the stage; outputs is [{path, sha256, bytes}]"),
-    "timings": _schema("timings_*.json", _STAGES, "", "seconds",
-                       "* is the stage; wall time, outside the determinism contract"),
+    "timings": _schema("timings_*.json", _STAGES, "", "seconds phases?",
+                       "* is the stage; wall time and {phase: seconds} of the "
+                       "stage's phases, outside the determinism contract"),
     "report": _schema("report.json", "report", "",
                       "stages detection_meta.json? estimate.json?",
                       "stage manifests, with detection_meta and estimate if present"),

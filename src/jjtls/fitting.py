@@ -110,14 +110,17 @@ def background_split(trace: Trace) -> BackgroundSplit:
     return BackgroundSplit(resonance_mask=mask)
 
 
-def _metric(res: np.ndarray, data: np.ndarray) -> float:
-    """Residual metric from the stacked [real, imag] deviations ``res``."""
-    m = data.size
-    var = float(np.var(res[:m]) + np.var(res[m:]))
-    denom = float(np.mean(np.abs(data)))
-    if denom <= 0 or not math.isfinite(denom):
+def _metric(res: np.ndarray, data: np.ndarray) -> float | np.ndarray:
+    """Residual metric from the stacked [real, imag] deviations ``res``.
+
+    A leading batch axis on ``res`` and ``data`` gives one metric per row.
+    """
+    m = data.shape[-1]
+    var = np.var(res[..., :m], axis=-1) + np.var(res[..., m:], axis=-1)
+    denom = np.mean(np.abs(data), axis=-1)
+    if not np.all((denom > 0) & np.isfinite(denom)):
         raise DegenerateDataError("mean |S21| is zero; metric undefined")
-    return var / denom
+    return var / denom if var.ndim else float(var / denom)
 
 
 def residual_metric(trace: Trace, params: ResonatorParams) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -43,6 +44,25 @@ def load_pipeline_config(path: Path) -> dict:
     return cfg
 
 
+class _Clock:
+    """Wall time of a stage and of its named phases (perf_counter spans)."""
+
+    def __init__(self):
+        self.t0 = time.perf_counter()
+        self.phases: dict[str, float] = {}
+
+    @contextmanager
+    def phase(self, name: str):
+        t = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.phases[name] = self.phases.get(name, 0.0) + time.perf_counter() - t
+
+    def timings(self) -> dict:
+        return {"seconds": time.perf_counter() - self.t0, "phases": self.phases}
+
+
 def _config_for_hash(cfg: dict) -> dict:
     return {k: v for k, v in cfg.items() if not k.startswith("_")}
 
@@ -54,7 +74,7 @@ def _resolve(cfg: dict, maybe_path: str) -> Path:
 
 def cmd_simulate(cfg: dict, outdir: Path) -> dict:
     """Drive the virtual instrument along the bias plan; write trace CSVs."""
-    t0 = time.perf_counter()
+    clock = _Clock()
     outdir = Path(outdir)
     scenario = load_scenario(_resolve(cfg, cfg["scenario"]))
     scenario = replace(scenario, rng_seed=int(cfg["seed"]))
@@ -63,43 +83,46 @@ def cmd_simulate(cfg: dict, outdir: Path) -> dict:
     span = float(sweep_cfg.get("span", 10 * scenario.resonator.kappa))
     n_points = int(sweep_cfg.get("n_points", 201))
 
-    sweep = curve_follow(scenario_instrument(scenario), plan, span, n_points)
-    files = [write_csv(outdir, "trace", trace_rows(trace), f"{k:04d}")
-             for k, trace in enumerate(sweep.traces)]
-    files.append(write_record(outdir, "scenario_used", asdict(scenario)))
+    with clock.phase("sweep"):
+        sweep = curve_follow(scenario_instrument(scenario), plan, span, n_points)
+    with clock.phase("write"):
+        files = [write_csv(outdir, "trace", trace_rows(trace), f"{k:04d}")
+                 for k, trace in enumerate(sweep.traces)]
+        files.append(write_record(outdir, "scenario_used", asdict(scenario)))
     write_manifest(outdir, "simulate", _config_for_hash(cfg), files,
-                   timings={"seconds": time.perf_counter() - t0})
+                   timings=clock.timings())
     return {"n_traces": len(sweep.traces), "outdir": str(outdir)}
 
 
-def _fit_one(path: Path):
-    trace = trace_from_csv(path)
+def _fit(trace):
     try:
-        fit = fit_hanger(trace)
+        return fit_hanger(trace)
     except NoResonanceError:
-        fit = FAILED_FIT
-    return trace, fit
+        return FAILED_FIT
 
 
 def cmd_detect(cfg: dict, outdir: Path) -> dict:
     """Fit traces, calibrate the detector, and emit the detected events."""
-    t0 = time.perf_counter()
+    clock = _Clock()
     outdir = Path(outdir)
     trace_files = sorted(outdir.glob(SCHEMAS["trace"].path))
     if not trace_files:
         raise SchemaError(f"no trace files {outdir / SCHEMAS['trace'].path}; "
                           "run simulate first or point --outdir at recorded data")
-    fitted = [_fit_one(p) for p in trace_files]
-    traces = tuple(t for t, _ in fitted)
-    fits = tuple(f for _, f in fitted)
+    with clock.phase("load"):
+        traces = tuple(trace_from_csv(p) for p in trace_files)
+    with clock.phase("fit"):
+        fits = tuple(_fit(t) for t in traces)
 
     sweep = SweepDataset(traces=traces, fits=fits)
     manual = [tuple(iv) for iv in cfg["sweep"].get("exclusions", [])]
     sweep = apply_exclusions(sweep, manual)
 
-    files = [write_csv(outdir, "fits", [
-        (b, f.params.f_r, f.params.Q_l, f.params.Q_e_mag, f.params.theta,
-         f.residual_metric, int(f.converged)) for b, f in zip(sweep.bias_currents, fits)])]
+    with clock.phase("write"):
+        files = [write_csv(outdir, "fits", [
+            (b, f.params.f_r, f.params.Q_l, f.params.Q_e_mag, f.params.theta,
+             f.residual_metric, int(f.converged))
+            for b, f in zip(sweep.bias_currents, fits)])]
 
     # --- calibration from the user-designated flat interval; on failure the
     # fit table above stays on disk for inspection
@@ -120,19 +143,22 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
     baseline_i = cal_idx[int(np.argsort(cal_res)[len(cal_res) // 2])]
     seed = int(cfg["seed"])
     det_cfg = cfg.get("detector", {})
-    noise_sigma = calibrate_noise(traces[baseline_i], fits[baseline_i], seed=seed)
+    with clock.phase("calibrate_noise"):
+        noise_sigma = calibrate_noise(traces[baseline_i], fits[baseline_i], seed=seed)
 
     # average fitted parameters over the calibration interval
     pvecs = np.array([fits[i].params.as_array() for i in cal_idx])
     cal_params = ResonatorParams.from_array(pvecs.mean(axis=0))
-    calib = build_threshold(cal_params, noise_sigma,
-                            ensemble_size=int(det_cfg.get("ensemble_size", 5000)),
-                            seed=seed,
-                            temperature=float(det_cfg.get("temperature", 0.010)),
-                            n_points=len(traces[baseline_i]))
-
-    series = normalize_axis(sweep)
-    events = find_peaks(series, calib)
+    with clock.phase("build_threshold"):
+        calib = build_threshold(cal_params, noise_sigma,
+                                ensemble_size=int(det_cfg.get("ensemble_size", 5000)),
+                                seed=seed,
+                                temperature=float(det_cfg.get("temperature", 0.010)),
+                                n_points=len(traces[baseline_i]))
+    with clock.phase("normalize_axis"):
+        series = normalize_axis(sweep)
+    with clock.phase("find_peaks"):
+        events = find_peaks(series, calib)
 
     idx = sweep.included_indices()
     f0 = sweep.f0s[idx]
@@ -140,47 +166,50 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
     kappa = sweep.median_kappa()
     n_bins = max(int(math.floor(delta_f / kappa)), 1)
 
-    files.append(write_csv(outdir, "series", zip(series.shift_axis, series.residuals)))
-    files.append(write_csv(outdir, "events", [
-        (e.shift_position, e.frequency, e.peak_residual) for e in events]))
-    files.append(write_record(outdir, "calibration", asdict(calib)))
-    files.append(write_record(outdir, "detection_meta", {
-        "n_detected": len(events),
-        "n_bins": n_bins,
-        "delta_f_GHz": delta_f,
-        "kappa_GHz": kappa,
-        "n_traces": len(traces),
-        "n_included": int(idx.size),
-        "exclusions": [[e.start, e.stop, e.reason] for e in sweep.exclusions],
-    }))
+    with clock.phase("write"):
+        files.append(write_csv(outdir, "series", zip(series.shift_axis, series.residuals)))
+        files.append(write_csv(outdir, "events", [
+            (e.shift_position, e.frequency, e.peak_residual) for e in events]))
+        files.append(write_record(outdir, "calibration", asdict(calib)))
+        files.append(write_record(outdir, "detection_meta", {
+            "n_detected": len(events),
+            "n_bins": n_bins,
+            "delta_f_GHz": delta_f,
+            "kappa_GHz": kappa,
+            "n_traces": len(traces),
+            "n_included": int(idx.size),
+            "exclusions": [[e.start, e.stop, e.reason] for e in sweep.exclusions],
+        }))
 
-    panel = Panel(title="residual metric vs frequency shift",
-                  xlabel="shift [kappa]", ylabel="residual metric", logy=True)
-    panel.add_line(series.shift_axis, np.maximum(series.residuals, 1e-12), "residual")
-    panel.add_hline(calib.threshold, "threshold")
-    if events:
-        panel.add_points([e.shift_position for e in events],
-                         [max(e.peak_residual, 1e-12) for e in events], "events")
-    in_gap = ~series.valid
-    if in_gap.any():
-        edges = np.flatnonzero(np.diff(np.concatenate([[0], in_gap.view(np.int8), [0]])))
-        for a, b in zip(edges[::2], edges[1::2]):
-            panel.add_vspan(series.shift_axis[a], series.shift_axis[min(b, len(series) - 1)])
-    files.append(write_text(outdir, "residuals_plot", render(panel)))
+        panel = Panel(title="residual metric vs frequency shift",
+                      xlabel="shift [kappa]", ylabel="residual metric", logy=True)
+        panel.add_line(series.shift_axis, np.maximum(series.residuals, 1e-12), "residual")
+        panel.add_hline(calib.threshold, "threshold")
+        if events:
+            panel.add_points([e.shift_position for e in events],
+                             [max(e.peak_residual, 1e-12) for e in events], "events")
+        in_gap = ~series.valid
+        if in_gap.any():
+            edges = np.flatnonzero(np.diff(np.concatenate([[0], in_gap.view(np.int8), [0]])))
+            for a, b in zip(edges[::2], edges[1::2]):
+                panel.add_vspan(series.shift_axis[a],
+                                series.shift_axis[min(b, len(series) - 1)])
+        files.append(write_text(outdir, "residuals_plot", render(panel)))
 
     write_manifest(outdir, "detect", _config_for_hash(cfg), files,
-                   timings={"seconds": time.perf_counter() - t0})
+                   timings=clock.timings())
     return {"n_events": len(events), "n_bins": n_bins, "threshold": calib.threshold,
             "noise_sigma": noise_sigma, "outdir": str(outdir)}
 
 
 def cmd_infer(cfg: dict, outdir: Path) -> dict:
     """Convert detections into a posterior TLS count and density estimate."""
-    t0 = time.perf_counter()
+    clock = _Clock()
     outdir = Path(outdir)
-    meta = read_record(run_path(outdir, "detection_meta"), "detection_meta")
-    calib = calibration_from_dict(
-        read_record(run_path(outdir, "calibration"), "calibration"))
+    with clock.phase("load"):
+        meta = read_record(run_path(outdir, "detection_meta"), "detection_meta")
+        calib = calibration_from_dict(
+            read_record(run_path(outdir, "calibration"), "calibration"))
 
     inf_cfg = cfg.get("inference", {})
     if "area" not in inf_cfg:
@@ -192,7 +221,8 @@ def cmd_infer(cfg: dict, outdir: Path) -> dict:
     rates = true_rates(calib.fp, calib.fn)
     inp = InferenceInput(n_detected=int(meta["n_detected"]),
                          n_bins=int(meta["n_bins"]), rates=rates)
-    post = posterior(inp)
+    with clock.phase("posterior"):
+        post = posterior(inp)
     est = density(post, delta_f=delta_f, area=area)
 
     files = [write_csv(outdir, "posterior", enumerate(post.pmf))]
@@ -223,7 +253,7 @@ def cmd_infer(cfg: dict, outdir: Path) -> dict:
     files.append(write_text(outdir, "posterior_plot", render([top, bottom])))
 
     write_manifest(outdir, "infer", _config_for_hash(cfg), files,
-                   timings={"seconds": time.perf_counter() - t0})
+                   timings=clock.timings())
     return {"rho": est.rho, "ci68": list(est.ci68), "lambda_star": post.lambda_star,
             "outdir": str(outdir)}
 
@@ -231,10 +261,11 @@ def cmd_infer(cfg: dict, outdir: Path) -> dict:
 def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
                   *, seed: int = 0, repeats: int = 100) -> dict:
     """Treatment statistics and morphology correlation reports."""
-    t0 = time.perf_counter()
+    clock = _Clock()
     outdir = Path(outdir)
-    dens_rows = read_densities_csv(densities_path)
-    labels, X, feat_names, tls_density = read_morphology_csv(morphology_path)
+    with clock.phase("load"):
+        dens_rows = read_densities_csv(densities_path)
+        labels, X, feat_names, tls_density = read_morphology_csv(morphology_path)
 
     treatments = sorted({r["treatment"] for r in dens_rows})
     by_treatment = {t: [r for r in dens_rows if r["treatment"] == t]
@@ -314,12 +345,13 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
     elif len(varying) < 2:
         notices.append("clustering/importance skipped: fewer than 2 varying features")
     else:
-        sel = cluster_features(Xv, tls_density)
-        rep_names = [names[j] for j in sel.representatives]
-        rr = ridge_permutation_importance(Xv[:, list(sel.representatives)],
-                                          tls_density, alpha=sel.ridge_alpha,
-                                          repeats=repeats, seed=seed,
-                                          feature_names=rep_names)
+        with clock.phase("importance"):
+            sel = cluster_features(Xv, tls_density)
+            rep_names = [names[j] for j in sel.representatives]
+            rr = ridge_permutation_importance(Xv[:, list(sel.representatives)],
+                                              tls_density, alpha=sel.ridge_alpha,
+                                              repeats=repeats, seed=seed,
+                                              feature_names=rep_names)
         report = {
             "threshold": sel.threshold,
             "loocv_r2": rr.loocv_r2,
@@ -359,8 +391,7 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
 
     cfg = {"densities": str(densities_path), "morphology": str(morphology_path),
            "seed": seed, "repeats": repeats}
-    write_manifest(outdir, "correlate", cfg, files,
-                   timings={"seconds": time.perf_counter() - t0})
+    write_manifest(outdir, "correlate", cfg, files, timings=clock.timings())
     return {"treatments": treatments, "notices": notices,
             "ranking": (report or {}).get("ranking", []), "outdir": str(outdir)}
 

@@ -1,4 +1,4 @@
-"""Brute-force oracles, independent of the package implementations."""
+"""Brute-force oracles, independent of the package code paths they check."""
 
 import numpy as np
 
@@ -57,3 +57,44 @@ def forward_detections(n_t: int, n_bins: int, FP: float, FN: float,
     detected = rng.binomial(n_t, 1.0 - FN)
     spurious = rng.binomial(n_bins - n_t, FP)
     return int(min(detected + spurious, n_bins))
+
+
+def exact_threshold(params, noise_sigma: float, ensemble_size: int, seed: int = 0,
+                    n_points: int = 201, temperature: float = 0.010):
+    """build_threshold by one warm-started nonlinear refit per ensemble member.
+
+    The noise ensemble, then the critical-TLS ensemble, each member drawing
+    n_points real then n_points imaginary normals from the threshold stream.
+    Returns (noise metrics, TLS metrics, DetectorCalibration).
+    """
+    from scipy.special import ndtr
+
+    from jjtls.detector import (CAL_SPAN, DetectorCalibration, _finite_members,
+                                _gaussian_intersection, critical_tls)
+    from jjtls.fitting import fit_hanger
+    from jjtls.physics import RNG_THRESHOLD, Trace, hanger_s21, tls_s21
+
+    kappa = params.kappa
+    grid = np.linspace(params.f_r - CAL_SPAN / 2 * kappa,
+                       params.f_r + CAL_SPAN / 2 * kappa, n_points)
+    tls = critical_tls(params, temperature=temperature)
+    rng = np.random.default_rng([seed, RNG_THRESHOLD])
+
+    def ensemble_metrics(model):
+        out = np.empty(ensemble_size)
+        for k in range(ensemble_size):
+            noisy = model + noise_sigma * (rng.standard_normal(grid.size)
+                                           + 1j * rng.standard_normal(grid.size))
+            out[k] = fit_hanger(Trace(freqs=grid, s21=noisy), init=params).residual_metric
+        return _finite_members(out)
+
+    m_noise = ensemble_metrics(hanger_s21(params, grid))
+    m_tls = ensemble_metrics(tls_s21(params, tls, grid))
+    mu1, s1 = float(np.mean(m_noise)), float(np.std(m_noise))
+    mu2, s2 = float(np.mean(m_tls)), float(np.std(m_tls))
+    threshold = _gaussian_intersection(mu1, s1, mu2, s2)
+    fp = float(1.0 - ndtr((threshold - mu1) / s1)) if s1 > 0 else 0.0
+    fn = float(ndtr((threshold - mu2) / s2)) if s2 > 0 else 0.0
+    return m_noise, m_tls, DetectorCalibration(
+        threshold=threshold, fp=fp, fn=fn, noise_sigma=noise_sigma,
+        gauss_noise=(mu1, s1), gauss_tls=(mu2, s2))

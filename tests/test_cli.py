@@ -84,7 +84,7 @@ PINNED_FIELDS = {
                           "representatives,ridge_alpha,threshold",
     "notices": "notices",
     "manifest": "config_hash,outputs,package_version,stage",
-    "timings": "seconds",
+    "timings": "phases,seconds",
     "report": "detection_meta.json,estimate.json,stages",
 }
 
@@ -167,6 +167,15 @@ class TestDetect:
         assert main(["detect", "--config", str(cfg), "--outdir", str(broken)]) == 1
         err = capsys.readouterr().err
         assert "trace_0005.csv" in err and ":18" in err
+
+    def test_timings_name_every_phase(self, full_run):
+        _, out = full_run
+        timings = json.loads((out / "timings_detect.json").read_text())
+        phases = timings["phases"]
+        assert sorted(phases) == ["build_threshold", "calibrate_noise", "find_peaks",
+                                  "fit", "load", "normalize_axis", "write"]
+        assert all(t >= 0 for t in phases.values())
+        assert sum(phases.values()) <= timings["seconds"]
 
     def test_residual_plot_emitted(self, full_run):
         _, out = full_run
@@ -416,6 +425,21 @@ class TestSchemaAndReport:
                        if not line.startswith(" ")]
             for rel in files:
                 assert any(fnmatch(rel, p) for p in printed), f"{stage}: {rel}"
+
+    def test_closed_pipe_exits_quietly(self):
+        # `jjtls schema | head`: the reader is gone before the write
+        import os
+        import subprocess
+        import sys
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen([sys.executable, "-m", "jjtls.cli", "schema"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
 
     def test_unknown_schema_name(self, capsys):
         assert main(["schema", "nope"]) == 1

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from jjtls.errors import CalibrationError, DegenerateDataError, ValidationError
 from jjtls.fitting import FAILED_FIT, FitResult, fit_hanger, residual_metric
 from jjtls.physics import (FluxConfig, ResonatorParams, Scenario, TLSDefect,
                            Trace, flux_to_freq, scenario_instrument, synth_trace)
+
+from _oracles import exact_threshold
 
 RES = ResonatorParams(f_r=5.0, Q_l=5000.0, Q_e_mag=10000.0)
 KAPPA = RES.kappa
@@ -274,9 +278,22 @@ def unphysical_refits(monkeypatch, every):
 
 class TestUnphysicalRefits:
     def test_build_threshold_raises_calibration_error(self, monkeypatch):
+        # the stub reaches the noiseless reference fit (call 1) and the 32
+        # guard refits of the first ensemble (calls 2-33: 10, 20, 30 fail)
         unphysical_refits(monkeypatch, every=10)
-        with pytest.raises(CalibrationError, match="100 of 1000"):
+        with pytest.raises(CalibrationError, match="3 of 32"):
             build_threshold(RES, 0.005, ensemble_size=1000)
+
+    def test_unphysical_reference_fit_raises_calibration_error(self, monkeypatch):
+        unphysical_refits(monkeypatch, every=1)
+        with pytest.raises(CalibrationError, match="reference fit"):
+            build_threshold(RES, 0.005, ensemble_size=1000)
+
+    def test_low_snr_fleet_resonator_raises_calibration_error(self):
+        # the linearised fits of some members leave the physical region
+        # (1/Q_i < 0), as some exact refits do at this noise
+        with pytest.raises(CalibrationError, match="of 1000 calibration refits"):
+            build_threshold(FLEET_RES, 0.5, ensemble_size=1000, seed=1)
 
     def test_calibrate_noise_raises_calibration_error(self, monkeypatch):
         grid = np.linspace(5.0 - 5 * KAPPA, 5.0 + 5 * KAPPA, NPTS)
@@ -338,6 +355,110 @@ class TestBuildThreshold:
         fn_emp = np.mean(emp["tls"] < c.threshold)
         assert abs(c.fp - fp_emp) <= 0.03
         assert abs(c.fn - fn_emp) <= 0.03
+
+
+FLEET_RES = ResonatorParams(f_r=5.0, Q_l=5000.0, Q_e_mag=10000.0, theta=0.05,
+                            A=0.95, alpha=0.1, phi_v=1.2, phi_0=0.3)
+
+
+@functools.lru_cache(maxsize=None)
+def exact_fleet_threshold(sigma):
+    return exact_threshold(FLEET_RES, sigma, 1000, seed=3)
+
+
+def projected_and_exact(monkeypatch, sigma):
+    """build_threshold's projected member metrics and the exact-refit oracle."""
+    import jjtls.detector as detector
+
+    real, blocks = detector._Tangent.metrics, []
+
+    def recording(self, sigma, noise):
+        out = real(self, sigma, noise)
+        blocks.append(out)
+        return out
+
+    monkeypatch.setattr(detector._Tangent, "metrics", recording)
+    calib = build_threshold(FLEET_RES, sigma, ensemble_size=1000, seed=3)
+    projected = np.concatenate(blocks)
+    return calib, (projected[:1000], projected[1000:]), exact_fleet_threshold(sigma)
+
+
+class TestProjectedCalibration:
+    @pytest.mark.parametrize("sigma", [0.005, 0.09])
+    def test_matches_exact_refits(self, monkeypatch, sigma):
+        calib, projected, (m_noise, m_tls, exact) = projected_and_exact(monkeypatch, sigma)
+        for lin, ref in zip(projected, (m_noise, m_tls)):
+            assert np.max(np.abs(lin / ref - 1.0)) <= 0.02
+        assert calib.threshold == pytest.approx(exact.threshold, rel=1e-3)
+        assert abs(calib.fp - exact.fp) <= 5e-3
+        assert abs(calib.fn - exact.fn) <= 5e-3
+
+    def test_forced_fallback_equals_exact_refits(self, monkeypatch):
+        import jjtls.detector as detector
+
+        monkeypatch.setattr(detector, "GUARD_MEAN", 0.0)
+        monkeypatch.setattr(detector, "GUARD_MAX", 0.0)
+        *_, exact = exact_fleet_threshold(0.005)
+        assert build_threshold(FLEET_RES, 0.005, ensemble_size=1000, seed=3) == exact
+
+    def test_fits_only_references_and_guards(self, monkeypatch):
+        import jjtls.detector as detector
+
+        real, inits = detector.fit_hanger, []
+
+        def counting(trace, init=None):
+            inits.append(init)
+            return real(trace, init=init)
+
+        monkeypatch.setattr(detector, "fit_hanger", counting)
+        build_threshold(FLEET_RES, 0.005, ensemble_size=1000, seed=3)
+        assert len(inits) == 2 * (1 + detector.GUARD_MEMBERS)
+        assert all(init == FLEET_RES for init in inits)
+
+    def test_noise_blocks_reproduce_per_member_stream(self):
+        # two ensembles back to back, each crossing a block boundary: the
+        # blocks hold every member's real then imaginary draws, in order
+        from jjtls.detector import NOISE_CHUNK, _members, _noise_blocks
+        from jjtls.physics import RNG_THRESHOLD, hanger_s21
+
+        n, m = NOISE_CHUNK + 44, 201
+        blocked = np.random.default_rng([5, RNG_THRESHOLD])
+        serial = np.random.default_rng([5, RNG_THRESHOLD])
+        grid = np.linspace(5.0 - 5 * KAPPA, 5.0 + 5 * KAPPA, m)
+        model = hanger_s21(RES, grid)
+        for _ in range(2):
+            noisy = np.concatenate([_members(model, 0.01, b)
+                                    for b in _noise_blocks(blocked, n, m)])
+            for k in range(n):
+                want = model + 0.01 * (serial.standard_normal(m)
+                                       + 1j * serial.standard_normal(m))
+                assert np.array_equal(noisy[k], want)
+
+    def test_calibrate_noise_continues_on_exact_refits(self, monkeypatch):
+        # a projection that overstates the metric by 20% misses the exact
+        # confirmation; the bisection continues on exact refits and meets
+        # the stopping rule
+        import jjtls.detector as detector
+        from jjtls.physics import RNG_CAL_NOISE, hanger_s21
+
+        grid = np.linspace(5.0 - 5 * KAPPA, 5.0 + 5 * KAPPA, NPTS)
+        tr = synth_trace(RES, [], grid, 0.008, np.random.default_rng(9))
+        fit = fit_hanger(tr)
+        metrics, refits = detector._Tangent.metrics, []
+        monkeypatch.setattr(detector._Tangent, "metrics",
+                            lambda self, sigma, noise: 1.2 * metrics(self, sigma, noise))
+        monkeypatch.setattr(detector, "fit_hanger",
+                            lambda trace, init=None: refits.append(1) or fit_hanger(
+                                trace, init=init))
+        sigma = calibrate_noise(tr, fit, ensemble=48, seed=1)
+        assert len(refits) > 48
+        rng = np.random.default_rng([1, RNG_CAL_NOISE])
+        unit = rng.standard_normal((48, NPTS)) + 1j * rng.standard_normal((48, NPTS))
+        model = hanger_s21(fit.params, grid)
+        vals = [fit_hanger(Trace(freqs=grid, s21=model + sigma * u), init=fit.params)
+                .residual_metric for u in unit]
+        measured = fit.residual_metric
+        assert abs(np.median(vals) - measured) / measured <= 0.01
 
 
 def make_series(residuals, valid=None):
