@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .detector import (DetectionEvent, DetectorCalibration, Exclusion,
                        ResidualSeries, SweepDataset, apply_exclusions,
                        build_threshold, calibrate_noise, critical_tls,
-                       curve_follow, find_peaks, normalize_axis)
+                       curve_follow, find_peaks, fit_next, normalize_axis)
 from .errors import (CalibrationError, ConvergenceError, DegenerateDataError,
                      InvalidParameterError, JJTLSError, NoResonanceError,
                      NumericalError, SchemaError, ValidationError)

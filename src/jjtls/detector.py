@@ -1,16 +1,17 @@
 """Curve-following sweeps, detector calibration, and TLS peak detection.
 
 The detection chain: follow the resonance across bias points, fit every
-trace, exclude collision and past-maximum regions, re-express the residual
-metric on a uniform frequency-shift axis (units of the linewidth kappa),
-and flag five-point peak shapes above a calibrated threshold.
+trace warm-started from the fits before it in bias, exclude collision and
+past-maximum regions, re-express the residual metric on a uniform
+frequency-shift axis (units of the linewidth kappa), and flag five-point
+peak shapes above a calibrated threshold.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -34,6 +35,7 @@ NOISE_CHUNK = 64          # ensemble members per noise block (bounds peak memory
 GUARD_MEMBERS = 32        # members of each ensemble refitted exactly
 GUARD_MEAN = 0.05         # guard: |mean(projected - exact)| limit, in ensemble stds
 GUARD_MAX = 0.5           # guard: max |projected - exact| limit, in ensemble stds
+WARM_GUARD = 4.0          # fit_next: warm fit's metric limit, times the last fit's
 
 
 @dataclass(frozen=True)
@@ -71,15 +73,10 @@ class SweepDataset:
     def __len__(self) -> int:
         return len(self.traces)
 
-    def excluded_mask(self) -> np.ndarray:
-        mask = np.zeros(len(self), dtype=bool)
-        for ex in self.exclusions:
-            mask[ex.start:ex.stop + 1] = True
-        return mask
-
     def included_indices(self) -> np.ndarray:
-        mask = ~self.excluded_mask()
-        mask &= np.array([f.converged for f in self.fits], dtype=bool)
+        mask = np.array([f.converged for f in self.fits], dtype=bool)
+        for ex in self.exclusions:
+            mask[ex.start:ex.stop + 1] = False
         return np.flatnonzero(mask)
 
     @property
@@ -98,7 +95,7 @@ class SweepDataset:
         idx = self.included_indices()
         if idx.size == 0:
             raise DegenerateDataError("no included fits in sweep")
-        return float(np.median([self.fits[i].kappa for i in idx]))
+        return float(np.median([self.fits[i].params.kappa for i in idx]))
 
 
 def _merge_exclusions(exclusions) -> tuple[Exclusion, ...]:
@@ -166,12 +163,56 @@ class DetectionEvent:
     frequency: float        # GHz
 
 
+def fit_next(trace: Trace, history: list[tuple[float, FitResult]]) -> FitResult:
+    """Fit the next trace of a sweep from ``history``, its converged fits so far.
+
+    ``history`` holds ``(bias_current, FitResult)`` pairs in fitting order;
+    a converged result is appended to it.  The warm start is the last fit,
+    f_r extrapolated in bias from the last two; it stands if it converged
+    within ``WARM_GUARD`` times the last fit's metric (a resonance jump
+    pulls it into a wrong minimum that would read as a TLS).  Otherwise the
+    seeded fit runs with the warm fit as its fallback, and the first
+    converged result stands.
+    """
+    warm = FAILED_FIT
+    if history:
+        bias, last = history[-1]
+        init = last.params
+        if len(history) >= 2 and history[-2][0] != bias:
+            bias0, prev = history[-2]
+            slope = (init.f_r - prev.params.f_r) / (bias - bias0)
+            init = replace(init, f_r=init.f_r + slope * (trace.bias_current - bias))
+        warm = fit_hanger(trace, init=init)
+    if warm.converged and warm.residual_metric <= WARM_GUARD * last.residual_metric:
+        fit = warm
+    else:
+        try:
+            fit = fit_hanger(trace)
+        except NoResonanceError:
+            fit = warm
+        if warm.converged and not fit.converged:
+            fit = warm
+    if fit.converged:
+        history.append((trace.bias_current, fit))
+    return fit
+
+
+def fit_in_bias_order(traces) -> tuple[FitResult, ...]:
+    """``fit_next`` over recorded traces, in order of bias current."""
+    fits = [FAILED_FIT] * len(traces)
+    history = []
+    for i in np.argsort([t.bias_current for t in traces], kind="stable"):
+        fits[i] = fit_next(traces[i], history)
+    return tuple(fits)
+
+
 def curve_follow(instrument, bias_plan, span: float, n_points: int,
                  f_start: float | None = None) -> SweepDataset:
     """Measure-fit-recenter sweep over a bias plan.
 
     ``instrument(bias, f_center, span, n_points) -> Trace``; an f_center of
     None asks the instrument to center itself (virtual instruments only).
+    Each trace is fitted by ``fit_next`` from the converged fits before it.
     A failed fit marks that step excluded and the sweep continues from the
     last good center.
     """
@@ -180,31 +221,17 @@ def curve_follow(instrument, bias_plan, span: float, n_points: int,
         raise ValidationError("bias plan is empty")
     traces: list[Trace] = []
     fits: list[FitResult] = []
-    failed: list[int] = []
+    history = []
     center = f_start
-    last_params: ResonatorParams | None = None
-    for k, bias in enumerate(plan):
+    for bias in plan:
         trace = instrument(bias, center, span, n_points)
-        # background seeding first, then a warm start from the last good
-        # fit; the first result stands unless a later one converged
-        fit = FAILED_FIT
-        for init in (None,) if last_params is None else (None, last_params):
-            try:
-                attempt = fit_hanger(trace, init=init)
-            except NoResonanceError:
-                continue
-            if fit is FAILED_FIT or attempt.converged:
-                fit = attempt
-            if fit.converged:
-                break
-        if not fit.converged:
-            failed.append(k)
-        else:
+        fit = fit_next(trace, history)
+        if fit.converged:
             center = fit.params.f_r
-            last_params = fit.params
         traces.append(trace)
         fits.append(fit)
-    exclusions = tuple(Exclusion(i, i, "manual") for i in failed)
+    exclusions = tuple(Exclusion(k, k, "manual")
+                       for k, fit in enumerate(fits) if not fit.converged)
     return SweepDataset(traces=tuple(traces), fits=tuple(fits), exclusions=exclusions)
 
 

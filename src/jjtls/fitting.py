@@ -23,6 +23,7 @@ class BackgroundSplit:
     """Partition of a trace into one contiguous resonance region and background."""
 
     resonance_mask: np.ndarray  # bool per sample
+    smooth: np.ndarray          # Savitzky-Golay smoothed |S21|
 
     @property
     def background_mask(self) -> np.ndarray:
@@ -40,10 +41,6 @@ class FitResult:
     residual_metric: float
     converged: bool
     n_evals: int = 0
-
-    @property
-    def kappa(self) -> float:
-        return self.params.kappa
 
 
 # stands in for a trace that could not be fitted at all
@@ -74,8 +71,8 @@ def background_split(trace: Trace) -> BackgroundSplit:
     Smooths |S21| with a Savitzky-Golay filter, differentiates, takes a
     moving-window variance of the derivative, smooths again, and marks the
     contiguous stretch of elevated variance as the resonance.  A trace whose
-    candidate dip is indistinguishable from the background noise raises
-    NoResonanceError.
+    candidate dip is indistinguishable from the background noise, or whose
+    background is shorter than the smoothing window, raises NoResonanceError.
     """
     n = len(trace)
     mag = np.abs(trace.s21)
@@ -95,11 +92,9 @@ def background_split(trace: Trace) -> BackgroundSplit:
     i0, i1 = int(idx[0]), int(idx[-1])
     mask = np.zeros(n, dtype=bool)
     mask[i0:i1 + 1] = True
-    if mask.all():
-        # keep at least a sliver of background for the noise estimate
-        raise NoResonanceError("high-variance region spans the whole trace")
-
     bg = ~mask
+    if np.count_nonzero(bg) < win:   # too little to fit a line or take a noise level
+        raise NoResonanceError(f"fewer than {win} background samples outside the resonance")
     level = float(np.median(smooth[bg]))
     depth = level - float(np.min(smooth[mask]))
     noise = float(np.std(mag[bg] - smooth[bg]))
@@ -107,7 +102,7 @@ def background_split(trace: Trace) -> BackgroundSplit:
     if depth <= floor:
         raise NoResonanceError(
             f"candidate dip depth {depth:.3e} below detection floor {floor:.3e}")
-    return BackgroundSplit(resonance_mask=mask)
+    return BackgroundSplit(resonance_mask=mask, smooth=smooth)
 
 
 def _metric(res: np.ndarray, data: np.ndarray) -> float | np.ndarray:
@@ -145,8 +140,7 @@ def _jacobian(p: np.ndarray, f: np.ndarray, data: np.ndarray) -> np.ndarray:
 
 def _seed_from_background(trace: Trace, split: BackgroundSplit) -> np.ndarray:
     mag = np.abs(trace.s21)
-    win = _sg_window(len(trace))
-    smooth = savgol_filter(mag, win, 2)
+    smooth = split.smooth
     res = split.resonance_mask
     bg = split.background_mask
     f = trace.freqs
@@ -232,8 +226,7 @@ def estimate_snr(trace: Trace) -> float:
     """
     split = background_split(trace)  # propagates NoResonanceError
     mag = np.abs(trace.s21)
-    win = _sg_window(len(trace))
-    smooth = savgol_filter(mag, win, 2)
+    smooth = split.smooth
     bg = split.background_mask
     level = float(np.median(smooth[bg]))
     depth = level - float(np.min(smooth[split.resonance_mask]))

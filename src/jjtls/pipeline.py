@@ -17,13 +17,13 @@ import numpy as np
 from scipy.special import gammainc
 
 from .detector import (SweepDataset, apply_exclusions, build_threshold,
-                       calibrate_noise, curve_follow, find_peaks, normalize_axis)
-from .errors import CalibrationError, JJTLSError, NoResonanceError, SchemaError
+                       calibrate_noise, curve_follow, find_peaks, fit_in_bias_order,
+                       normalize_axis)
+from .errors import CalibrationError, JJTLSError, SchemaError
 from .fileio import (SCHEMAS, calibration_from_dict, load_scenario,
                      read_densities_csv, read_json, read_morphology_csv,
                      read_record, run_path, sweep_plan, trace_from_csv,
                      trace_rows, write_csv, write_record, write_text)
-from .fitting import FAILED_FIT, fit_hanger
 from .inference import (DensityEstimate, InferenceInput, aggregate_device,
                         density, marginal_likelihood, posterior, true_rates)
 from .manifest import write_manifest
@@ -94,15 +94,8 @@ def cmd_simulate(cfg: dict, outdir: Path) -> dict:
     return {"n_traces": len(sweep.traces), "outdir": str(outdir)}
 
 
-def _fit(trace):
-    try:
-        return fit_hanger(trace)
-    except NoResonanceError:
-        return FAILED_FIT
-
-
 def cmd_detect(cfg: dict, outdir: Path) -> dict:
-    """Fit traces, calibrate the detector, and emit the detected events."""
+    """Fit traces in bias order, calibrate the detector, and emit the detected events."""
     clock = _Clock()
     outdir = Path(outdir)
     trace_files = sorted(outdir.glob(SCHEMAS["trace"].path))
@@ -112,7 +105,7 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
     with clock.phase("load"):
         traces = tuple(trace_from_csv(p) for p in trace_files)
     with clock.phase("fit"):
-        fits = tuple(_fit(t) for t in traces)
+        fits = fit_in_bias_order(traces)
 
     sweep = SweepDataset(traces=traces, fits=fits)
     manual = [tuple(iv) for iv in cfg["sweep"].get("exclusions", [])]

@@ -1,13 +1,16 @@
+import dataclasses
 import functools
 
 import numpy as np
 import pytest
 
-from jjtls.detector import (DetectorCalibration,
+from jjtls.detector import (WARM_GUARD, DetectorCalibration,
                             ResidualSeries, SweepDataset, apply_exclusions,
                             build_threshold, calibrate_noise, critical_tls,
-                            curve_follow, find_peaks, normalize_axis)
-from jjtls.errors import CalibrationError, DegenerateDataError, ValidationError
+                            curve_follow, find_peaks, fit_in_bias_order, fit_next,
+                            normalize_axis)
+from jjtls.errors import (CalibrationError, DegenerateDataError, NoResonanceError,
+                          ValidationError)
 from jjtls.fitting import FAILED_FIT, FitResult, fit_hanger, residual_metric
 from jjtls.physics import (FluxConfig, ResonatorParams, Scenario, TLSDefect,
                            Trace, flux_to_freq, scenario_instrument, synth_trace)
@@ -101,25 +104,147 @@ class TestCurveFollowSeeds:
     @pytest.mark.parametrize("warm_converges", [True, False])
     def test_unconverged_background_fit_replaced_only_by_converged_warm_fit(
             self, monkeypatch, warm_converges):
-        import jjtls.detector as detector
-
         good, _ = good_and_flat_traces()
-        calls = []
-
-        def stub(trace, init=None):
-            calls.append(init)
-            if len(calls) == 1:   # first step: a clean background fit
-                return FitResult(RES, 1e-5, converged=True)
-            if init is None:      # second step: background fit fails
-                return FitResult(RES, 2e-5, converged=False)
-            return FitResult(RES, 3e-5, converged=warm_converges)
-
-        monkeypatch.setattr(detector, "fit_hanger", stub)
+        calls = stub_fit_hanger(monkeypatch, [
+            FitResult(RES, 1e-5, converged=True),             # first step: seeded
+            FitResult(RES, 3e-5, converged=warm_converges),   # second: warm first
+            FitResult(RES, 2e-5, converged=False)])           # then seeded
         sweep = curve_follow(stub_instrument([good, good]), [0, 1], SPAN, NPTS)
-        assert calls == [None, None, RES]
+        # a converged warm fit within the guard stands without seeding; an
+        # unconverged one is replaced by the seeded fit, converged or not
+        assert calls == ([None, RES] if warm_converges else [None, RES, None])
         want = 3e-5 if warm_converges else 2e-5
         assert sweep.fits[1].residual_metric == want
         assert (1 in sweep.included_indices()) == warm_converges
+
+
+def stub_fit_hanger(monkeypatch, results):
+    """Replace the detector's fit_hanger by one that returns ``results`` in turn.
+
+    Returns the list of ``init`` arguments it is called with.
+    """
+    import jjtls.detector as detector
+
+    calls = []
+    pending = iter(results)
+
+    def stub(trace, init=None):
+        calls.append(init)
+        return next(pending)
+
+    monkeypatch.setattr(detector, "fit_hanger", stub)
+    return calls
+
+
+class TestFitNext:
+    def test_first_trace_of_a_sweep_is_seeded(self, monkeypatch):
+        good, _ = good_and_flat_traces()
+        calls = stub_fit_hanger(monkeypatch, [FitResult(RES, 1e-5, converged=True)])
+        sweep = curve_follow(stub_instrument([good]), [0], SPAN, NPTS)
+        assert calls == [None]
+        assert sweep.fits[0].converged
+
+    def test_third_step_extrapolates_f_r(self, monkeypatch):
+        good, _ = good_and_flat_traces()
+        traces = [Trace(freqs=good.freqs, s21=good.s21, bias_current=b) for b in (0, 1, 2)]
+        step = 0.3 * KAPPA
+        p0, p1 = RES, dataclasses.replace(RES, f_r=RES.f_r + step)
+        calls = stub_fit_hanger(monkeypatch, [FitResult(p, 1e-5, converged=True)
+                                              for p in (p0, p1, p1)])
+        curve_follow(stub_instrument(traces), [0, 1, 2], SPAN, NPTS)
+        assert calls[:2] == [None, p0]   # one fit so far: its parameters as they are
+        third = calls[2]
+        assert third.f_r == pytest.approx(RES.f_r + 2 * step, rel=0, abs=1e-12)
+        assert dataclasses.replace(third, f_r=p1.f_r) == p1
+
+    @pytest.mark.parametrize("seeded_converges", [True, False])
+    def test_guard_rejection_falls_back_to_seeding(self, monkeypatch, seeded_converges):
+        good, _ = good_and_flat_traces()
+        history = [(0.0, FitResult(RES, 1e-5, converged=True))]
+        warm = FitResult(RES, 5e-5, converged=True)   # above WARM_GUARD x the last metric
+        seeded = FitResult(RES, 2e-5, converged=seeded_converges)
+        calls = stub_fit_hanger(monkeypatch, [warm, seeded])
+        fit = fit_next(good, history)
+        # the seeded-first rule, with the warm attempt reused as its fallback
+        assert calls == [RES, None]
+        assert fit is (seeded if seeded_converges else warm)
+        assert history[-1] == (good.bias_current, fit)
+
+    def test_warm_fit_at_the_guard_stands(self, monkeypatch):
+        good, _ = good_and_flat_traces()
+        history = [(0.0, FitResult(RES, 1e-5, converged=True))]
+        warm = FitResult(RES, WARM_GUARD * 1e-5, converged=True)
+        calls = stub_fit_hanger(monkeypatch, [warm])
+        assert fit_next(good, history) is warm
+        assert calls == [RES]
+
+
+C4_RES = ResonatorParams(f_r=5.0, Q_l=5000.0, Q_e_mag=10000.0, theta=0.05,
+                         A=0.95, alpha=0.1, phi_v=1.2, phi_0=0.3)
+C4_SPAN = 0.01
+
+
+def seeded_fit(trace):
+    try:
+        return fit_hanger(trace)
+    except NoResonanceError:
+        return FAILED_FIT
+
+
+@pytest.fixture(scope="module")
+def c4_calib():
+    return build_threshold(C4_RES, 0.005, ensemble_size=1000, seed=99)
+
+
+class TestWarmFirstAgainstSeeded:
+    """The warm-first fits gated against a background-seeded fit of every trace."""
+
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_detect_fits_and_events_match_seeded_fits(self, k, c4_calib):
+        # criterion 4's closed-loop scenario k (k % 5 plants at C = 4)
+        kappa = C4_RES.kappa
+        flux = FluxConfig(f_bare=5.0, n_islands=100, m_trapped=0, flux_per_current=0.02)
+        f_hi = flux_to_freq(flux, 66.0 * flux.flux_per_current)
+        f_lo = flux_to_freq(flux, 124.0 * flux.flux_per_current)
+        rng = np.random.default_rng([4, k])
+        plants = []
+        while len(plants) < k % 5:
+            cand = rng.uniform(f_lo, f_hi)
+            if all(abs(cand - f) >= 4 * kappa for f in plants):
+                plants.append(cand)
+        scenario = Scenario(resonator=C4_RES, flux=flux, noise_sigma=0.005,
+                            defects=tuple(TLSDefect(f_tls=f, g=kappa, gamma=kappa,
+                                                    temperature=0.01) for f in plants),
+                            rng_seed=1000 + k)
+        traces = curve_follow(scenario_instrument(scenario), np.linspace(50.0, 130.0, 120),
+                              C4_SPAN, NPTS).traces
+        warm = fit_in_bias_order(traces)
+        seeded = tuple(seeded_fit(t) for t in traces)
+        assert [f.converged for f in warm] == [f.converged for f in seeded]
+        for a, b in zip(warm, seeded):
+            if b.converged:
+                assert a.residual_metric == pytest.approx(b.residual_metric, rel=1e-8)
+
+        events = [find_peaks(normalize_axis(apply_exclusions(SweepDataset(traces, fits))),
+                             c4_calib) for fits in (warm, seeded)]
+        assert len(events[0]) == len(events[1]) == len(plants)
+        for a, b in zip(*events):
+            assert a.shift_position == b.shift_position
+            assert a.frequency == pytest.approx(b.frequency, rel=0, abs=1e-4 * kappa)
+
+    def test_resonance_jump_goes_to_the_seeded_fit(self):
+        # between two steps the resonance jumps by 0.4 span: the warm start
+        # converges into a wrong minimum that would read as a TLS
+        grid = np.linspace(5.0 - C4_SPAN / 2, 5.0 + C4_SPAN / 2, NPTS)
+        jumped = dataclasses.replace(C4_RES, f_r=5.0 + 0.4 * C4_SPAN)
+        first = synth_trace(C4_RES, [], grid, 0.005, np.random.default_rng(1))
+        second = synth_trace(jumped, [], grid, 0.005, np.random.default_rng(2))
+        last = fit_hanger(first)
+        unguarded = fit_hanger(second, init=last.params)
+        seeded = fit_hanger(second)
+        assert unguarded.converged and seeded.converged
+        assert unguarded.residual_metric >= 50 * seeded.residual_metric
+        assert fit_next(second, [(first.bias_current, last)]) == seeded
 
 
 class TestApplyExclusions:

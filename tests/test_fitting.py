@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,17 @@ class TestBackgroundSplit:
         idx = np.flatnonzero(split.resonance_mask)
         assert np.array_equal(idx, np.arange(idx[0], idx[-1] + 1))
         assert idx[0] >= 0 and idx[-1] < len(tr)
+
+    def test_background_shorter_than_window_raises(self):
+        # the region hull leaves one background sample here; seeding would
+        # fit lines to it (numpy's "Polyfit may be poorly conditioned")
+        tr = make_trace(noise=0.05, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoResonanceError, match="background samples"):
+                background_split(tr)
+            with pytest.raises(NoResonanceError):
+                fit_hanger(tr)
 
 
 class TestResidualMetric:
@@ -138,8 +150,10 @@ class TestFitMetric:
     def test_fit_metric_equals_residual_metric(self, sigma):
         # the fit takes its metric from the final least-squares residual;
         # it must be the very number residual_metric computes
+        # at sigma = 0.2 (SNR 2.4) the first trace whose background seeds
+        # honestly is seed 19; the rest fail the split's depth or window check
         seeded = 0
-        for seed in range(6):
+        for seed in range(20):
             tr = make_trace(noise=sigma, seed=seed)
             for init in (None, TRUTH):
                 try:
