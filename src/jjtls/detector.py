@@ -1,10 +1,9 @@
 """Curve-following sweeps, detector calibration, and TLS peak detection.
 
 The detection chain: follow the resonance across bias points, fit every
-trace warm-started from the fits before it in bias, exclude collision and
-past-maximum regions, re-express the residual metric on a uniform
-frequency-shift axis (units of the linewidth kappa), and flag five-point
-peak shapes above a calibrated threshold.
+trace, exclude collision and past-maximum regions, re-express the residual
+metric on a uniform frequency-shift axis (units of the linewidth kappa),
+and flag five-point peak shapes above a calibrated threshold.
 """
 
 from __future__ import annotations
@@ -166,13 +165,9 @@ class DetectionEvent:
 def fit_next(trace: Trace, history: list[tuple[float, FitResult]]) -> FitResult:
     """Fit the next trace of a sweep from ``history``, its converged fits so far.
 
-    ``history`` holds ``(bias_current, FitResult)`` pairs in fitting order;
-    a converged result is appended to it.  The warm start is the last fit,
-    f_r extrapolated in bias from the last two; it stands if it converged
-    within ``WARM_GUARD`` times the last fit's metric (a resonance jump
-    pulls it into a wrong minimum that would read as a TLS).  Otherwise the
-    seeded fit runs with the warm fit as its fallback, and the first
-    converged result stands.
+    ``history`` holds ``(bias_current, FitResult)`` pairs and gains the fit
+    if it converged.  A warm fit within ``WARM_GUARD`` stands, else the
+    seeded fit or FAILED_FIT (README.md, "Fits along a sweep").
     """
     warm = FAILED_FIT
     if history:
@@ -189,21 +184,10 @@ def fit_next(trace: Trace, history: list[tuple[float, FitResult]]) -> FitResult:
         try:
             fit = fit_hanger(trace)
         except NoResonanceError:
-            fit = warm
-        if warm.converged and not fit.converged:
-            fit = warm
+            fit = FAILED_FIT
     if fit.converged:
         history.append((trace.bias_current, fit))
     return fit
-
-
-def fit_in_bias_order(traces) -> tuple[FitResult, ...]:
-    """``fit_next`` over recorded traces, in order of bias current."""
-    fits = [FAILED_FIT] * len(traces)
-    history = []
-    for i in np.argsort([t.bias_current for t in traces], kind="stable"):
-        fits[i] = fit_next(traces[i], history)
-    return tuple(fits)
 
 
 def curve_follow(instrument, bias_plan, span: float, n_points: int,

@@ -15,7 +15,7 @@ from .physics import ResonatorParams, Trace, hanger_jacobian, hanger_model
 
 SNR_CAP = 1e12
 SPLIT_REL_FLOOR = 0.1     # resonance region: derivative variance >= this * peak
-SPLIT_DEPTH_SNR = 5.0     # dip depth must exceed this many background stds
+SPLIT_DEPTH_SNR = 3.5     # dip depth must exceed this many background stds
 
 
 @dataclass(frozen=True)
@@ -70,9 +70,10 @@ def background_split(trace: Trace) -> BackgroundSplit:
 
     Smooths |S21| with a Savitzky-Golay filter, differentiates, takes a
     moving-window variance of the derivative, smooths again, and marks the
-    contiguous stretch of elevated variance as the resonance.  A trace whose
-    candidate dip is indistinguishable from the background noise, or whose
-    background is shorter than the smoothing window, raises NoResonanceError.
+    run of elevated variance around its peak as the resonance.  A trace
+    whose candidate dip is indistinguishable from the background noise, or
+    whose background is shorter than the smoothing window, raises
+    NoResonanceError.
     """
     n = len(trace)
     mag = np.abs(trace.s21)
@@ -87,9 +88,9 @@ def background_split(trace: Trace) -> BackgroundSplit:
     vmax = var[peak]
     if not np.isfinite(vmax) or vmax <= 0:
         raise NoResonanceError("derivative variance vanishes; flat trace")
-    above = var >= SPLIT_REL_FLOOR * vmax
-    idx = np.flatnonzero(above)
-    i0, i1 = int(idx[0]), int(idx[-1])
+    low = np.flatnonzero(var < SPLIT_REL_FLOOR * vmax)
+    i0 = int(low[low < peak].max(initial=-1)) + 1
+    i1 = int(low[low > peak].min(initial=n)) - 1
     mask = np.zeros(n, dtype=bool)
     mask[i0:i1 + 1] = True
     bg = ~mask

@@ -17,8 +17,7 @@ import numpy as np
 from scipy.special import gammainc
 
 from .detector import (SweepDataset, apply_exclusions, build_threshold,
-                       calibrate_noise, curve_follow, find_peaks, fit_in_bias_order,
-                       normalize_axis)
+                       calibrate_noise, curve_follow, find_peaks, fit_next, normalize_axis)
 from .errors import CalibrationError, JJTLSError, SchemaError
 from .fileio import (SCHEMAS, calibration_from_dict, load_scenario,
                      read_densities_csv, read_json, read_morphology_csv,
@@ -105,9 +104,11 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
     with clock.phase("load"):
         traces = tuple(trace_from_csv(p) for p in trace_files)
     with clock.phase("fit"):
-        fits = fit_in_bias_order(traces)
+        fits, history = [None] * len(traces), []
+        for i in np.argsort([t.bias_current for t in traces], kind="stable"):
+            fits[i] = fit_next(traces[i], history)
 
-    sweep = SweepDataset(traces=traces, fits=fits)
+    sweep = SweepDataset(traces=traces, fits=tuple(fits))
     manual = [tuple(iv) for iv in cfg["sweep"].get("exclusions", [])]
     sweep = apply_exclusions(sweep, manual)
 

@@ -7,8 +7,7 @@ import pytest
 from jjtls.detector import (WARM_GUARD, DetectorCalibration,
                             ResidualSeries, SweepDataset, apply_exclusions,
                             build_threshold, calibrate_noise, critical_tls,
-                            curve_follow, find_peaks, fit_in_bias_order, fit_next,
-                            normalize_axis)
+                            curve_follow, find_peaks, fit_next, normalize_axis)
 from jjtls.errors import (CalibrationError, DegenerateDataError, NoResonanceError,
                           ValidationError)
 from jjtls.fitting import FAILED_FIT, FitResult, fit_hanger, residual_metric
@@ -121,7 +120,8 @@ class TestCurveFollowSeeds:
 def stub_fit_hanger(monkeypatch, results):
     """Replace the detector's fit_hanger by one that returns ``results`` in turn.
 
-    Returns the list of ``init`` arguments it is called with.
+    An exception among the results is raised instead.  Returns the list of
+    ``init`` arguments it is called with.
     """
     import jjtls.detector as detector
 
@@ -130,7 +130,10 @@ def stub_fit_hanger(monkeypatch, results):
 
     def stub(trace, init=None):
         calls.append(init)
-        return next(pending)
+        result = next(pending)
+        if isinstance(result, Exception):
+            raise result
+        return result
 
     monkeypatch.setattr(detector, "fit_hanger", stub)
     return calls
@@ -157,18 +160,21 @@ class TestFitNext:
         assert third.f_r == pytest.approx(RES.f_r + 2 * step, rel=0, abs=1e-12)
         assert dataclasses.replace(third, f_r=p1.f_r) == p1
 
-    @pytest.mark.parametrize("seeded_converges", [True, False])
-    def test_guard_rejection_falls_back_to_seeding(self, monkeypatch, seeded_converges):
+    @pytest.mark.parametrize("seeded", [FitResult(RES, 2e-5, converged=True),
+                                        FitResult(RES, 2e-5, converged=False),
+                                        NoResonanceError("no dip")])
+    def test_guard_rejection_falls_back_to_seeding(self, monkeypatch, seeded):
         good, _ = good_and_flat_traces()
-        history = [(0.0, FitResult(RES, 1e-5, converged=True))]
+        last = FitResult(RES, 1e-5, converged=True)
+        history = [(0.0, last)]
         warm = FitResult(RES, 5e-5, converged=True)   # above WARM_GUARD x the last metric
-        seeded = FitResult(RES, 2e-5, converged=seeded_converges)
         calls = stub_fit_hanger(monkeypatch, [warm, seeded])
         fit = fit_next(good, history)
-        # the seeded-first rule, with the warm attempt reused as its fallback
+        # no second warm fit, and the rejected one never stands: the seeded
+        # fit does, or FAILED_FIT where seeding finds no resonance
         assert calls == [RES, None]
-        assert fit is (seeded if seeded_converges else warm)
-        assert history[-1] == (good.bias_current, fit)
+        assert fit is (FAILED_FIT if isinstance(seeded, Exception) else seeded)
+        assert history == [(0.0, last)] + ([(good.bias_current, fit)] if fit.converged else [])
 
     def test_warm_fit_at_the_guard_stands(self, monkeypatch):
         good, _ = good_and_flat_traces()
@@ -218,7 +224,8 @@ class TestWarmFirstAgainstSeeded:
                             rng_seed=1000 + k)
         traces = curve_follow(scenario_instrument(scenario), np.linspace(50.0, 130.0, 120),
                               C4_SPAN, NPTS).traces
-        warm = fit_in_bias_order(traces)
+        history = []   # the plan runs in increasing bias, as detect fits
+        warm = tuple(fit_next(t, history) for t in traces)
         seeded = tuple(seeded_fit(t) for t in traces)
         assert [f.converged for f in warm] == [f.converged for f in seeded]
         for a, b in zip(warm, seeded):
