@@ -18,6 +18,3 @@ from .inference import (DensityEstimate, DetectorRates, DeviceSummary,
 from .physics import (FluxConfig, ResonatorParams, Scenario, TLSDefect, Trace,
                       flux_to_freq, hanger_s21, scenario_instrument, synth_trace,
                       thermal_population, tls_s21, virtual_measure)
-from .stats import (ClusterSelection, GammaFit, RegressionReport, cluster_features,
-                    gamma_fit, kruskal_wallis, pearson, ridge_loocv_r2,
-                    ridge_permutation_importance, shapiro_wilk, spearman)

@@ -13,14 +13,14 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.ndimage import median_filter
 from scipy.optimize import brentq
-from scipy.signal import savgol_filter
 from scipy.special import ndtr
 
 from .errors import (CalibrationError, ConvergenceError, DegenerateDataError,
                      NoResonanceError, ValidationError)
 from .fitting import (FAILED_FIT, FitResult, _jacobian, _metric, _residuals,
-                      fit_flux_parabola, fit_hanger)
+                      fit_flux_parabola, fit_hanger, savgol)
 from .physics import (RNG_CAL_NOISE, RNG_THRESHOLD, ResonatorParams, Trace,
                       TLSDefect, hanger_s21, tls_s21)
 
@@ -234,8 +234,6 @@ def apply_exclusions(sweep: SweepDataset, manual=()) -> SweepDataset:
         # only an interior maximum means the sweep crossed the flux-map top
         # and would revisit the same frequencies; median smoothing plus a
         # prominence floor keep single-fit noise blips from firing the cut
-        from scipy.ndimage import median_filter
-
         f0 = median_filter(candidate.f0s[idx], size=5, mode="nearest")
         p = int(np.argmax(f0))
         step = float(np.median(np.abs(np.diff(f0))))
@@ -533,7 +531,7 @@ def find_peaks(series: ResidualSeries, calib: DetectorCalibration) -> list[Detec
     n = len(series)
     if n < 5:
         raise ValidationError(f"series shorter than 5 points ({n})")
-    smooth = savgol_filter(series.residuals, 5, 1)
+    smooth = savgol(series.residuals, 5, 1)
     thr = calib.threshold
     candidates: list[int] = []
     for i in range(2, n - 2):

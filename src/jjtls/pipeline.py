@@ -27,8 +27,6 @@ from .inference import (DensityEstimate, InferenceInput, aggregate_device,
                         density, marginal_likelihood, posterior, true_rates)
 from .manifest import write_manifest
 from .physics import ResonatorParams, scenario_instrument
-from .stats import (cluster_features, gamma_fit, kruskal_wallis, pearson,
-                    ridge_permutation_importance, shapiro_wilk, spearman)
 from .svgplot import Panel, render
 
 
@@ -255,6 +253,10 @@ def cmd_infer(cfg: dict, outdir: Path) -> dict:
 def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
                   *, seed: int = 0, repeats: int = 100) -> dict:
     """Treatment statistics and morphology correlation reports."""
+    # only correlate needs scipy.stats; importing it here keeps it out of `import jjtls`
+    from .stats import (cluster_features, gamma_fit, kruskal_wallis, pearson,
+                        ridge_permutation_importance, shapiro_wilk, spearman)
+
     clock = _Clock()
     outdir = Path(outdir)
     with clock.phase("load"):

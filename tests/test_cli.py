@@ -300,6 +300,35 @@ class TestInfer:
         assert 1 <= len(calls) <= 2
 
 
+class TestStartup:
+    def test_import_and_infer_leave_statistics_unloaded(self, full_run, tmp_path):
+        # scipy.signal, scipy.stats and scipy.cluster cost most of a fresh
+        # stage's start-up and only correlate needs them
+        import os
+        import subprocess
+        import sys
+
+        cfg, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        code = (
+            "import json, sys\n"
+            "import jjtls, jjtls.cli\n"
+            f"argv = ['infer', '--config', {str(cfg)!r}, '--outdir', {str(run)!r}]\n"
+            "code = jjtls.cli.main(argv)\n"
+            "heavy = [m for m in ('scipy.signal', 'scipy.stats', 'scipy.cluster')\n"
+            "         if m in sys.modules]\n"
+            "from jjtls.stats import shapiro_wilk\n"
+            "print(json.dumps({'code': code, 'heavy': heavy}))\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result == {"code": 0, "heavy": []}
+
+
 class TestCorrelate:
     def test_fixture_reports(self, tmp_path):
         out = tmp_path / "corr"

@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.signal import savgol_filter
 
 from jjtls.errors import (DegenerateDataError, NoResonanceError, ValidationError)
-from jjtls.fitting import (background_split, estimate_snr,
-                           fit_flux_parabola, fit_hanger, residual_metric)
+from jjtls.fitting import (_sg_window, background_split, estimate_snr,
+                           fit_flux_parabola, fit_hanger, residual_metric, savgol)
 from jjtls.physics import (FluxConfig, ResonatorParams, Trace, flux_to_freq,
                            hanger_s21, synth_trace)
 
@@ -19,6 +20,20 @@ GRID = np.linspace(5.0 - 5 * KAPPA, 5.0 + 5 * KAPPA, 201)
 def make_trace(noise=0.0, seed=0, params=TRUTH, grid=GRID):
     rng = np.random.default_rng(seed)
     return synth_trace(params, [], grid, noise, rng)
+
+
+class TestSavgol:
+    @pytest.mark.parametrize("n", [19, 60, 90, 120, 201, 401, 1000])
+    def test_equals_scipy_savgol_filter(self, n):
+        # scipy.signal is the reference; jjtls keeps its own copy so that
+        # importing jjtls does not load scipy.signal
+        rng = np.random.default_rng(n)
+        for scale in np.logspace(-8, 2, 11):
+            for _ in range(5):
+                x = scale * (np.cumsum(rng.standard_normal(n)) + rng.uniform(-10, 10))
+                for window, order in ((5, 1), (_sg_window(n), 2)):
+                    np.testing.assert_array_equal(savgol(x, window, order),
+                                                  savgol_filter(x, window, order))
 
 
 class TestBackgroundSplit:
