@@ -190,12 +190,11 @@ def fit_next(trace: Trace, history: list[tuple[float, FitResult]]) -> FitResult:
     return fit
 
 
-def curve_follow(instrument, bias_plan, span: float, n_points: int,
-                 f_start: float | None = None) -> SweepDataset:
+def curve_follow(instrument, bias_plan, span: float, n_points: int) -> SweepDataset:
     """Measure-fit-recenter sweep over a bias plan.
 
-    ``instrument(bias, f_center, span, n_points) -> Trace``; an f_center of
-    None asks the instrument to center itself (virtual instruments only).
+    ``instrument(bias, f_center, span, n_points) -> Trace``; f_center is
+    None, which asks the instrument to center itself, until a fit converges.
     Each trace is fitted by ``fit_next`` from the converged fits before it.
     A failed fit marks that step excluded and the sweep continues from the
     last good center.
@@ -206,7 +205,7 @@ def curve_follow(instrument, bias_plan, span: float, n_points: int,
     traces: list[Trace] = []
     fits: list[FitResult] = []
     history = []
-    center = f_start
+    center = None
     for bias in plan:
         trace = instrument(bias, center, span, n_points)
         fit = fit_next(trace, history)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -261,8 +262,8 @@ def read_record(path: Path, name: str) -> dict:
 def read_csv(path: Path, name: str, text=()) -> list[list]:
     """Rows of a CSV of schema ``name``, its columns in table order.
 
-    Cells parse as floats except in the ``text`` columns, which are
-    stripped strings.  Extra columns are ignored; errors name the line.
+    Cells parse as finite floats except in the ``text`` columns, which
+    are stripped strings.  Extra columns are ignored; errors name the line.
     """
     cols = SCHEMAS[name].fields
     rows = []
@@ -278,9 +279,13 @@ def read_csv(path: Path, name: str, text=()) -> list[list]:
                 raise SchemaError(f"{path}:{lineno}: expected {len(header)} "
                                   f"columns, got {len(row)}")
             try:
-                rows.append([conv(row[i]) for i, conv in parse])
+                cells = [conv(row[i]) for i, conv in parse]
             except ValueError as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}")
+            for c, v in zip(cols, cells):
+                if c not in text and not math.isfinite(v):
+                    raise SchemaError(f"{path}:{lineno}: column {c} is not finite")
+            rows.append(cells)
     if not rows:
         raise SchemaError(f"{path}: no data rows")
     return rows

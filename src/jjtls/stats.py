@@ -8,12 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import squareform
-from scipy.special import digamma, gammaincc, ndtr, ndtri, polygamma, stdtr
-from scipy.stats import rankdata
+from scipy.special import digamma, polygamma, stdtr
+from scipy.stats import kruskal, rankdata, shapiro
 
 from .errors import ConvergenceError, DegenerateDataError, ValidationError
 
-ALPHA_DEFAULT = 0.05
 RIDGE_ALPHA_GRID = tuple(10.0 ** k for k in range(-3, 4))
 CLUSTER_TIE_TOL = 0.01    # LOOCV R^2 band within which cuts count as ties
 GAMMA_MAX_ITER = 200      # gamma MLE Newton steps
@@ -21,76 +20,27 @@ GAMMA_TOL = 1e-12         # gamma MLE relative step tolerance
 
 
 # ---------------------------------------------------------------------------
-# Shapiro-Wilk (Royston's AS R94 polynomial approximation, 3 <= n <= 5000)
+# Treatment tests from scipy.stats, with typed errors on degenerate input
 
-_SW_C1 = (0.221157, -0.147981, -2.071190, 4.434685, -2.706056)
-_SW_C2 = (0.042981, -0.293762, -1.752461, 5.682633, -3.582633)
-
-
-def _sw_weights(n: int) -> np.ndarray:
-    if n == 3:
-        return np.array([-math.sqrt(0.5), 0.0, math.sqrt(0.5)])
-    m = ndtri((np.arange(1, n + 1) - 0.375) / (n + 0.25))
-    msq = float(np.dot(m, m))
-    c = m / math.sqrt(msq)
-    u = 1.0 / math.sqrt(n)
-    a = np.empty(n)
-    a_n = c[-1] + np.polyval(_SW_C1[::-1] + (0.0,), u)
-    if n > 5:
-        a_n1 = c[-2] + np.polyval(_SW_C2[::-1] + (0.0,), u)
-        phi = (msq - 2 * m[-1] ** 2 - 2 * m[-2] ** 2) / (1 - 2 * a_n ** 2 - 2 * a_n1 ** 2)
-        a[2:-2] = m[2:-2] / math.sqrt(phi)
-        a[-2], a[1] = a_n1, -a_n1
-    else:
-        phi = (msq - 2 * m[-1] ** 2) / (1 - 2 * a_n ** 2)
-        a[1:-1] = m[1:-1] / math.sqrt(phi)
-    a[-1], a[0] = a_n, -a_n
-    return a
+def _require_finite(*samples) -> None:
+    if not all(np.all(np.isfinite(s)) for s in samples):
+        raise ValidationError("samples must be finite")
 
 
 def shapiro_wilk(samples) -> tuple[float, float]:
-    """Shapiro-Wilk normality test, (W, p).
-
-    Royston's polynomial approximation to the weights and the normalizing
-    transformations of W, valid for 3 <= n <= 5000.
-    """
-    x = np.sort(np.asarray(samples, dtype=float))
-    n = x.size
-    if n < 3 or n > 5000:
-        raise ValidationError(f"Shapiro-Wilk needs 3 <= n <= 5000, got {n}")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("samples must be finite")
-    if x[-1] == x[0]:
+    """Shapiro-Wilk normality test (W, p) from ``scipy.stats.shapiro``, 3 <= n <= 5000."""
+    x = np.asarray(samples, dtype=float)
+    if not 3 <= x.size <= 5000:
+        raise ValidationError(f"Shapiro-Wilk needs 3 <= n <= 5000, got {x.size}")
+    _require_finite(x)
+    if np.ptp(x) == 0:
         raise DegenerateDataError("constant sample; W undefined")
-
-    a = _sw_weights(n)
-    xc = x - x.mean()
-    W = float(np.dot(a, x) ** 2 / np.dot(xc, xc))
+    W, p = shapiro(x)
     if W >= 1.0:
-        # the sample lies exactly on its normal scores; log1p(-W) is undefined
+        # the sample lies exactly on its normal scores; W may round above 1
         return 1.0, 1.0
+    return float(W), float(p)
 
-    if n == 3:
-        p = (6.0 / math.pi) * (math.asin(math.sqrt(W)) - math.asin(math.sqrt(0.75)))
-        return W, float(min(max(p, 0.0), 1.0))
-    if n <= 11:
-        g = -2.273 + 0.459 * n
-        mu = 0.5440 + n * (-0.39978 + n * (0.025054 + n * -6.714e-4))
-        sigma = math.exp(1.3822 + n * (-0.77857 + n * (0.062767 + n * -0.0020322)))
-        arg = g - math.log1p(-W)
-        if arg <= 0:
-            return W, 0.0
-        z = (-math.log(arg) - mu) / sigma
-    else:
-        ln = math.log(n)
-        mu = -1.5861 + ln * (-0.31082 + ln * (-0.083751 + ln * 0.0038915))
-        sigma = math.exp(-0.4803 + ln * (-0.082676 + ln * 0.0030302))
-        z = (math.log1p(-W) - mu) / sigma
-    return W, float(1.0 - ndtr(z))
-
-
-# ---------------------------------------------------------------------------
-# Kruskal-Wallis rank test
 
 def kruskal_wallis(groups) -> tuple[float, float]:
     """Kruskal-Wallis H with tie correction; p from chi-square (k-1 df)."""
@@ -100,23 +50,11 @@ def kruskal_wallis(groups) -> tuple[float, float]:
     if any(g.size < 2 for g in gs):
         raise ValidationError("every group needs at least 2 samples")
     pooled = np.concatenate(gs)
-    N = pooled.size
-    ranks = rankdata(pooled)
-    idx = 0
-    S = 0.0
-    for g in gs:
-        r = ranks[idx:idx + g.size]
-        idx += g.size
-        S += r.sum() ** 2 / g.size
-    H = 12.0 / (N * (N + 1)) * S - 3.0 * (N + 1)
-    _, counts = np.unique(pooled, return_counts=True)
-    tie = 1.0 - float(np.sum(counts ** 3 - counts)) / (N ** 3 - N)
-    if tie <= 0:
-        return 0.0, 1.0  # all values identical
-    H /= tie
-    H = max(H, 0.0)
-    df = len(gs) - 1
-    return float(H), float(gammaincc(df / 2.0, H / 2.0))
+    _require_finite(pooled)
+    if np.ptp(pooled) == 0:
+        return 0.0, 1.0  # all values identical; the tie correction is 0/0
+    H, p = kruskal(*gs)
+    return float(H), float(p)
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +114,9 @@ def gamma_fit(samples) -> GammaFit:
 # ---------------------------------------------------------------------------
 # Correlation coefficients
 
-def _t_sf_two_sided(t: float, df: int) -> float:
-    if not math.isfinite(t):
-        return 0.0
-    return float(2.0 * stdtr(df, -abs(t)))
-
-
 def pearson(x, y) -> tuple[float, float]:
-    """Pearson r with two-sided p from the t transform (n-2 df)."""
+    """Pearson r, two-sided p from the t transform (n-2 df), in closed form:
+    an exact line gives r = 1 and p = 0, where pearsonr rounds r below 1."""
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.size != ya.size:
@@ -191,6 +124,7 @@ def pearson(x, y) -> tuple[float, float]:
     n = xa.size
     if n < 3:
         raise ValidationError(f"need n >= 3, got {n}")
+    _require_finite(xa, ya)
     xd = xa - xa.mean()
     yd = ya - ya.mean()
     sx = float(np.dot(xd, xd))
@@ -202,34 +136,13 @@ def pearson(x, y) -> tuple[float, float]:
     if abs(r) >= 1.0:
         return r, 0.0
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    return r, _t_sf_two_sided(t, n - 2)
+    return r, float(2.0 * stdtr(n - 2, -abs(t)))
 
 
-def spearman(x, y, *, method: str = "t", n_resamples: int = 10000,
-             seed: int = 0) -> tuple[float, float]:
-    """Spearman rank correlation.
-
-    p-value from the t transform by default; method="permutation" gives an
-    exact-style resampled p for tiny samples where the t approximation has
-    little power.
-    """
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    rx = rankdata(xa)
-    ry = rankdata(ya)
-    rho, p_t = pearson(rx, ry)
-    if method == "t":
-        return rho, p_t
-    if method != "permutation":
-        raise ValidationError(f"unknown p-value method {method!r}")
-    rng = np.random.default_rng(seed)
-    count = 0
-    for _ in range(n_resamples):
-        perm = rng.permutation(ry)
-        r_p, _ = pearson(rx, perm)
-        if abs(r_p) >= abs(rho) - 1e-15:
-            count += 1
-    return rho, (count + 1) / (n_resamples + 1)
+def spearman(x, y) -> tuple[float, float]:
+    """Spearman rank correlation: :func:`pearson` on the ranks."""
+    _require_finite(x, y)
+    return pearson(rankdata(x), rankdata(y))
 
 
 # ---------------------------------------------------------------------------

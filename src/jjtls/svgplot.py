@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, field
 
 PALETTE = ("#4063d8", "#cb3c33", "#389826", "#9558b2", "#b8860b", "#17a2b8")
+WIDTH = 720          # px
+PANEL_HEIGHT = 300   # px per stacked panel
 
 
 def _fmt(v: float) -> str:
@@ -96,22 +98,22 @@ def _panel_data_range(panel: Panel):
     return x0, x1, y0 - pad, y1 + pad
 
 
-def render(panels, *, width: int = 720, panel_height: int = 300) -> str:
+def render(panels) -> str:
     """Render panels stacked vertically as SVG text."""
     if isinstance(panels, Panel):
         panels = [panels]
     m_left, m_right, m_top, m_bottom = 64, 16, 34, 44
-    height = panel_height * len(panels)
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-           f'height="{height}" viewBox="0 0 {width} {height}">',
+    height = PANEL_HEIGHT * len(panels)
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+           f'height="{height}" viewBox="0 0 {WIDTH} {height}">',
            '<style>text{font-family:monospace;font-size:11px;fill:#222}'
            '.t{font-size:13px;font-weight:bold}</style>',
-           f'<rect width="{width}" height="{height}" fill="#ffffff"/>']
+           f'<rect width="{WIDTH}" height="{height}" fill="#ffffff"/>']
 
     for pi, panel in enumerate(panels):
-        oy = pi * panel_height
-        px0, px1 = m_left, width - m_right
-        py0, py1 = oy + m_top, oy + panel_height - m_bottom
+        oy = pi * PANEL_HEIGHT
+        px0, px1 = m_left, WIDTH - m_right
+        py0, py1 = oy + m_top, oy + PANEL_HEIGHT - m_bottom
         x0, x1, y0, y1 = _panel_data_range(panel)
         if panel.logy:
             y0 = max(y0, 1e-300)

@@ -391,6 +391,25 @@ class TestCorrelate:
         assert any("fewer than 2 varying features" in n for n in notices)
         assert not (out / "correlation_report.json").exists()
 
+    @pytest.mark.parametrize("name,column,cell", [
+        ("morphology.csv", "grain_width_mean", "nan"),
+        ("densities.csv", "rho", "inf"),
+    ])
+    def test_non_finite_cell_named(self, tmp_path, capsys, name, column, cell):
+        rows = [r.split(",") for r in
+                (FIXTURES / name).read_text().strip().splitlines()]
+        rows[3][rows[0].index(column)] = cell
+        p = tmp_path / name
+        p.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        inputs = {"densities.csv": FIXTURES / "densities.csv",
+                  "morphology.csv": FIXTURES / "morphology.csv", name: p}
+        assert main(["correlate", "--densities", str(inputs["densities.csv"]),
+                     "--morphology", str(inputs["morphology.csv"]),
+                     "--outdir", str(tmp_path / "c")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert f"{p}:4: column {column} is not finite" in err
+
     def test_missing_column_named(self, tmp_path, capsys):
         rows = (FIXTURES / "densities.csv").read_text().splitlines()
         header = rows[0].replace("ci_lo", "low")
@@ -463,11 +482,12 @@ class TestSchemaAndReport:
 
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.Popen([sys.executable, "-m", "jjtls.cli", "schema"],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 0
+        with subprocess.Popen([sys.executable, "-m", "jjtls.cli", "schema"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
         assert err == b""
 
     def test_unknown_schema_name(self, capsys):
