@@ -24,7 +24,7 @@ from .fitting import (FAILED_FIT, FitResult, _jacobian, _metric, _residuals,
 from .physics import (RNG_CAL_NOISE, RNG_THRESHOLD, ResonatorParams, Trace,
                       TLSDefect, hanger_s21, tls_s21)
 
-EXCLUSION_REASONS = ("collision", "past-maximum", "manual")
+EXCLUSION_REASONS = ("collision", "past-maximum")
 GRID_STEP = 0.25          # residual-series spacing, units of kappa
 MERGE_RADIUS = 1.0        # event merge radius, units of kappa
 NOISE_TOLERANCE = 0.01    # calibrate_noise: relative agreement of the metric
@@ -162,6 +162,17 @@ class DetectionEvent:
     frequency: float        # GHz
 
 
+@dataclass(frozen=True)
+class SweepCount:
+    """The events of one sweep and the linewidth bins they are counted over."""
+
+    series: ResidualSeries
+    events: list[DetectionEvent]
+    n_bins: int             # B = max(floor(delta_f / kappa), 1)
+    delta_f: float          # swept range of the included fits' f0, GHz
+    kappa: float            # median included linewidth, GHz
+
+
 def fit_next(trace: Trace, history: list[tuple[float, FitResult]]) -> FitResult:
     """Fit the next trace of a sweep from ``history``, its converged fits so far.
 
@@ -196,8 +207,8 @@ def curve_follow(instrument, bias_plan, span: float, n_points: int) -> SweepData
     ``instrument(bias, f_center, span, n_points) -> Trace``; f_center is
     None, which asks the instrument to center itself, until a fit converges.
     Each trace is fitted by ``fit_next`` from the converged fits before it.
-    A failed fit marks that step excluded and the sweep continues from the
-    last good center.
+    A failed fit leaves its step out of ``included_indices`` and the sweep
+    continues from the last good center.
     """
     plan = list(bias_plan)
     if not plan:
@@ -213,9 +224,7 @@ def curve_follow(instrument, bias_plan, span: float, n_points: int) -> SweepData
             center = fit.params.f_r
         traces.append(trace)
         fits.append(fit)
-    exclusions = tuple(Exclusion(k, k, "manual")
-                       for k, fit in enumerate(fits) if not fit.converged)
-    return SweepDataset(traces=tuple(traces), fits=tuple(fits), exclusions=exclusions)
+    return SweepDataset(traces=tuple(traces), fits=tuple(fits))
 
 
 def apply_exclusions(sweep: SweepDataset, manual=()) -> SweepDataset:
@@ -555,3 +564,18 @@ def find_peaks(series: ResidualSeries, calib: DetectorCalibration) -> list[Detec
                            bias_current=float(series.bias_at[i]),
                            frequency=float(series.freq_at[i]))
             for i in kept]
+
+
+def count_sweep(sweep: SweepDataset, calib: DetectorCalibration) -> SweepCount:
+    """Detect the events of a sweep already through ``apply_exclusions``.
+
+    The residual series comes from ``normalize_axis`` and the events from
+    ``find_peaks``; the swept range delta_f and the median linewidth of the
+    included fits give the B bins the count is inferred over.
+    """
+    series = normalize_axis(sweep)
+    f0 = sweep.f0s[sweep.included_indices()]
+    delta_f = float(f0.max() - f0.min())
+    return SweepCount(series=series, events=find_peaks(series, calib),
+                      n_bins=max(int(math.floor(delta_f / series.kappa)), 1),
+                      delta_f=delta_f, kappa=series.kappa)

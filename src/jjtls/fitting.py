@@ -289,15 +289,6 @@ class FluxParabola:
         out = self.a * i**2 + self.b * i + self.c
         return out if i.ndim else float(out)
 
-    def derivative(self, bias) -> np.ndarray | float:
-        i = np.asarray(bias, dtype=float)
-        out = 2.0 * self.a * i + self.b
-        return out if i.ndim else float(out)
-
-    @property
-    def coefficients(self) -> tuple[float, float, float]:
-        return self.a, self.b, self.c
-
 
 def fit_flux_parabola(biases, f0s) -> FluxParabola:
     """Least-squares quadratic fit of resonance frequency vs bias current."""

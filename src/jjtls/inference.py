@@ -75,15 +75,6 @@ class InferenceInput:
                 f"n_detected = {self.n_detected} outside [0, {self.n_bins}]")
 
 
-def detection_likelihood(n_m: int, n_t: int, n_bins: int,
-                         rates: DetectorRates) -> float:
-    """P(n_m detections | n_t true TLS) for a detector with B bins."""
-    B = int(n_bins)
-    if not (0 <= n_t <= B):
-        raise ValidationError(f"n_t = {n_t} outside [0, {B}]")
-    return float(likelihood_vector(n_m, B, rates)[n_t])
-
-
 def likelihood_vector(n_m: int, n_bins: int, rates: DetectorRates) -> np.ndarray:
     """P(n_m | n_t) for every n_t in [0, B].
 

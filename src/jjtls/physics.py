@@ -141,22 +141,14 @@ class FluxConfig:
         return self
 
 
-def thermal_population(f_tls: float, temperature: float, *,
-                       convention: str = "full") -> float:
-    """Thermal two-level polarization <sigma_z>.
+def thermal_population(f_tls: float, temperature: float) -> float:
+    """Thermal two-level polarization <sigma_z> = tanh(h f / k_B T).
 
-    The default ("full") convention returns tanh(h f / k_B T); the
-    alternative ("half") convention returns tanh(h f / 2 k_B T).
     f_tls in GHz, temperature in K.
     """
     if not (temperature > 0) or not math.isfinite(temperature):
         raise InvalidParameterError(f"temperature must be positive, got {temperature}")
-    if convention not in ("full", "half"):
-        raise ValidationError(f"unknown population convention {convention!r}")
-    ratio = HBAR * 2.0 * math.pi * f_tls * GHZ / (BOLTZMANN_K * temperature)
-    if convention == "half":
-        ratio *= 0.5
-    return math.tanh(ratio)
+    return math.tanh(HBAR * 2.0 * math.pi * f_tls * GHZ / (BOLTZMANN_K * temperature))
 
 
 def _background(p: np.ndarray, f: np.ndarray):
@@ -238,21 +230,15 @@ def tls_s21(params: ResonatorParams, tls: TLSDefect, f) -> np.ndarray | complex:
     return out if farr.ndim else complex(out)
 
 
-def flux_to_freq(cfg: FluxConfig, flux, *, quadratic: bool = False):
+def flux_to_freq(cfg: FluxConfig, flux):
     """Resonance frequency at external flux [units of Phi_0].
 
-    Exact form: f_bare / sqrt(1 + (1/2) u^2) with
-    u = (2 pi / N) (flux - m).  With quadratic=True the small-detuning
-    approximation f_bare (1 - (pi/N)^2 (flux - m)^2) is used instead.
+    f_bare / sqrt(1 + (1/2) u^2) with u = (2 pi / N) (flux - m).
     """
     cfg.validate()
     phi = np.asarray(flux, dtype=float)
-    delta = phi - cfg.m_trapped
-    if quadratic:
-        out = cfg.f_bare * (1.0 - (math.pi / cfg.n_islands) ** 2 * delta**2)
-    else:
-        u = (2.0 * math.pi / cfg.n_islands) * delta
-        out = cfg.f_bare / np.sqrt(1.0 + 0.5 * u**2)
+    u = (2.0 * math.pi / cfg.n_islands) * (phi - cfg.m_trapped)
+    out = cfg.f_bare / np.sqrt(1.0 + 0.5 * u**2)
     return out if phi.ndim else float(out)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gammainc
 
 from .detector import (SweepDataset, apply_exclusions, build_threshold,
-                       calibrate_noise, curve_follow, find_peaks, fit_next, normalize_axis)
+                       calibrate_noise, count_sweep, curve_follow, fit_next)
 from .errors import CalibrationError, JJTLSError, SchemaError
 from .fileio import (SCHEMAS, calibration_from_dict, load_scenario,
                      read_densities_csv, read_json, read_morphology_csv,
@@ -147,16 +147,9 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
                                 seed=seed,
                                 temperature=float(det_cfg.get("temperature", 0.010)),
                                 n_points=len(traces[baseline_i]))
-    with clock.phase("normalize_axis"):
-        series = normalize_axis(sweep)
-    with clock.phase("find_peaks"):
-        events = find_peaks(series, calib)
-
-    idx = sweep.included_indices()
-    f0 = sweep.f0s[idx]
-    delta_f = float(f0.max() - f0.min())
-    kappa = sweep.median_kappa()
-    n_bins = max(int(math.floor(delta_f / kappa)), 1)
+    with clock.phase("count"):
+        count = count_sweep(sweep, calib)
+    series, events = count.series, count.events
 
     with clock.phase("write"):
         files.append(write_csv(outdir, "series", zip(series.shift_axis, series.residuals)))
@@ -165,11 +158,11 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
         files.append(write_record(outdir, "calibration", asdict(calib)))
         files.append(write_record(outdir, "detection_meta", {
             "n_detected": len(events),
-            "n_bins": n_bins,
-            "delta_f_GHz": delta_f,
-            "kappa_GHz": kappa,
+            "n_bins": count.n_bins,
+            "delta_f_GHz": count.delta_f,
+            "kappa_GHz": count.kappa,
             "n_traces": len(traces),
-            "n_included": int(idx.size),
+            "n_included": len(included),
             "exclusions": [[e.start, e.stop, e.reason] for e in sweep.exclusions],
         }))
 
@@ -190,7 +183,7 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
 
     write_manifest(outdir, "detect", _config_for_hash(cfg), files,
                    timings=clock.timings())
-    return {"n_events": len(events), "n_bins": n_bins, "threshold": calib.threshold,
+    return {"n_events": len(events), "n_bins": count.n_bins, "threshold": calib.threshold,
             "noise_sigma": noise_sigma, "outdir": str(outdir)}
 
 

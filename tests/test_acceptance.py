@@ -106,7 +106,7 @@ def _closed_loop_calibration(res, noise_sigma, span, n_points, seed):
 
 
 def test_criterion_4_closed_loop_detection():
-    from jjtls.detector import apply_exclusions, curve_follow, find_peaks, normalize_axis
+    from jjtls.detector import apply_exclusions, count_sweep, curve_follow
     from jjtls.fitting import estimate_snr
     from jjtls.inference import InferenceInput, posterior, true_rates
     from jjtls.physics import (FluxConfig, ResonatorParams, Scenario, TLSDefect,
@@ -152,18 +152,11 @@ def test_criterion_4_closed_loop_detection():
             if not snr_checked:
                 assert estimate_snr(sweep.traces[0]) >= 10
                 snr_checked = True
-            sweep = apply_exclusions(sweep)
-            series = normalize_axis(sweep)
-            events = find_peaks(series, calib)
-
-            kbar = sweep.median_kappa()
-            idx = sweep.included_indices()
-            f0 = sweep.f0s[idx]
-            n_bins = max(int((f0.max() - f0.min()) / kbar), 1)
-            post = posterior(InferenceInput(n_detected=min(len(events), n_bins),
-                                            n_bins=n_bins, rates=rates))
+            count = count_sweep(apply_exclusions(sweep), calib)
+            post = posterior(InferenceInput(n_detected=len(count.events),
+                                            n_bins=count.n_bins, rates=rates))
             count_ok += abs(post.mean_count - n_plant) <= 1.0
-            for e in events:
+            for e in count.events:
                 n_events_total += 1
                 if freqs and min(abs(e.frequency - f) for f in freqs) <= kappa / 2:
                     freq_ok += 1

@@ -172,8 +172,8 @@ class TestDetect:
         _, out = full_run
         timings = json.loads((out / "timings_detect.json").read_text())
         phases = timings["phases"]
-        assert sorted(phases) == ["build_threshold", "calibrate_noise", "find_peaks",
-                                  "fit", "load", "normalize_axis", "write"]
+        assert sorted(phases) == ["build_threshold", "calibrate_noise", "count",
+                                  "fit", "load", "write"]
         assert all(t >= 0 for t in phases.values())
         assert sum(phases.values()) <= timings["seconds"]
 

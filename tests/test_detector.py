@@ -6,8 +6,9 @@ import pytest
 
 from jjtls.detector import (WARM_GUARD, DetectorCalibration,
                             ResidualSeries, SweepDataset, apply_exclusions,
-                            build_threshold, calibrate_noise, critical_tls,
-                            curve_follow, find_peaks, fit_next, normalize_axis)
+                            build_threshold, calibrate_noise, count_sweep,
+                            critical_tls, curve_follow, find_peaks, fit_next,
+                            normalize_axis)
 from jjtls.errors import (CalibrationError, DegenerateDataError, NoResonanceError,
                           ValidationError)
 from jjtls.fitting import FAILED_FIT, FitResult, fit_hanger, residual_metric
@@ -97,7 +98,6 @@ class TestCurveFollowSeeds:
         sweep = curve_follow(stub_instrument([flat, good]), [0, 1], SPAN, NPTS)
         assert sweep.fits[0] is FAILED_FIT
         assert 0 not in sweep.included_indices()
-        assert any((e.start, e.stop) == (0, 0) for e in sweep.exclusions)
         assert sweep.fits[1].converged and 1 in sweep.included_indices()
 
     @pytest.mark.parametrize("warm_converges", [True, False])
@@ -293,13 +293,13 @@ class TestApplyExclusions:
         assert not np.isin([3, 4, 5], out.included_indices()).any()
 
 
-def synthetic_sweep(residuals, f_step=KAPPA / 4, noise_free_fit=None):
-    """Build a SweepDataset with prescribed residuals and uniform f0 steps."""
+def synthetic_sweep(residuals, f_step=KAPPA / 4, f0=None):
+    """Build a SweepDataset with prescribed residuals and f0 (default: uniform steps)."""
     from jjtls.fitting import FitResult
 
     n = len(residuals)
     biases = np.arange(n, dtype=float)
-    f0 = 5.0 - f_step * biases
+    f0 = 5.0 - f_step * biases if f0 is None else f0
     fits = []
     traces = []
     grid = np.linspace(4.99, 5.01, 21)
@@ -649,6 +649,38 @@ class TestFindPeaks:
         freqs = sorted(e.frequency for e in events)
         assert abs(freqs[0] - f2) < KAPPA / 2
         assert abs(freqs[1] - f1) < KAPPA / 2
+
+
+class TestCountSweep:
+    def test_events_are_find_peaks_of_normalized_series(self):
+        r = np.full(41, 0.4)
+        r[18:23] = [0.8, 1.4, 2.0, 1.4, 0.8]
+        sweep = synthetic_sweep(r)
+        count = count_sweep(sweep, CAL)
+        series = normalize_axis(sweep)
+        assert len(count.events) == 1
+        assert count.events == find_peaks(series, CAL)
+        np.testing.assert_array_equal(count.series.residuals, series.residuals)
+        assert count.kappa == sweep.median_kappa()
+        assert count.delta_f == pytest.approx(10 * KAPPA, rel=1e-9)
+        assert count.n_bins == 10
+
+    def test_sweep_narrower_than_one_linewidth_has_one_bin(self):
+        # up to the maximum and back: 1.6 kappa of path, 0.8 kappa of range
+        k = np.arange(9)
+        sweep = synthetic_sweep(np.full(9, 0.4), f0=5.0 - 0.05 * KAPPA * (k - 4) ** 2)
+        count = count_sweep(sweep, CAL)
+        assert len(count.series) >= 5
+        assert count.delta_f == pytest.approx(0.8 * KAPPA, rel=1e-9)
+        assert count.delta_f < count.kappa
+        assert count.n_bins == 1
+
+    def test_excluded_end_trace_shrinks_swept_range(self):
+        sweep = synthetic_sweep(np.full(41, 0.4))
+        full = count_sweep(sweep, CAL)
+        cut = count_sweep(apply_exclusions(sweep, manual=[(40, 40)]), CAL)
+        assert cut.delta_f == pytest.approx(full.delta_f - KAPPA / 4, rel=1e-9)
+        assert (full.n_bins, cut.n_bins) == (10, 9)
 
 
 class TestInvariants:

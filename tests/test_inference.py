@@ -6,9 +6,9 @@ import pytest
 from _oracles import enumerate_detection_pmf, forward_detections, mc_peak_rates
 from jjtls.errors import ValidationError
 from jjtls.inference import (DensityEstimate, DetectorRates, InferenceInput,
-                             aggregate_device, density, detection_likelihood,
-                             likelihood_vector, marginal_likelihood, mle_lambda,
-                             posterior, true_rates)
+                             aggregate_device, density, likelihood_vector,
+                             marginal_likelihood, mle_lambda, posterior,
+                             true_rates)
 
 
 class TestTrueRates:
@@ -52,19 +52,19 @@ class TestDetectionLikelihood:
         for n_t in range(6):
             for n_m in range(6):
                 want = 1.0 if n_m == n_t else 0.0
-                assert detection_likelihood(n_m, n_t, 5, r) == want
+                assert likelihood_vector(n_m, 5, r)[n_t] == want
 
     def test_pure_false_positives(self):
         r = DetectorRates(fp=0.5, fn=0.0, FP=0.1, FN=0.0)
         B = 6
         for n_m in range(B + 1):
             want = math.comb(B, n_m) * 0.1 ** n_m * 0.9 ** (B - n_m)
-            assert detection_likelihood(n_m, 0, B, r) == pytest.approx(want, rel=1e-12)
+            assert likelihood_vector(n_m, B, r)[0] == pytest.approx(want, rel=1e-12)
 
     def test_hand_case(self):
         r = DetectorRates(fp=0.0, fn=0.0, FP=0.1, FN=0.2)
         # j=0: 0.2 * C(2,1) 0.1*0.9 = 0.036 ; j=1: 0.8 * 0.9^2 = 0.648
-        assert detection_likelihood(1, 1, 3, r) == pytest.approx(0.684, abs=1e-12)
+        assert likelihood_vector(1, 3, r)[1] == pytest.approx(0.684, abs=1e-12)
 
     @pytest.mark.parametrize("FP,FN", [(0.0, 0.0), (0.05, 0.2), (0.2, 0.05)])
     def test_matches_exhaustive_enumeration(self, FP, FN):
@@ -72,7 +72,7 @@ class TestDetectionLikelihood:
         for B in (1, 3, 7):
             for n_t in range(B + 1):
                 oracle = enumerate_detection_pmf(B, n_t, FP, FN)
-                got = np.array([detection_likelihood(n_m, n_t, B, r)
+                got = np.array([likelihood_vector(n_m, B, r)[n_t]
                                 for n_m in range(B + 1)])
                 np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
 
@@ -80,20 +80,20 @@ class TestDetectionLikelihood:
         r = DetectorRates(fp=0.0, fn=0.0, FP=0.07, FN=0.13)
         for B in (5, 15):
             for n_t in range(B + 1):
-                s = sum(detection_likelihood(n_m, n_t, B, r) for n_m in range(B + 1))
+                s = sum(likelihood_vector(n_m, B, r)[n_t] for n_m in range(B + 1))
                 assert abs(s - 1.0) < 1e-12
 
     def test_log_space_path_matches_direct(self):
         # adding one empty bin gives the recursion
         #   P_{B+1}(n_m) = (1-FP) P_B(n_m) + FP P_B(n_m - 1)
-        # with B=50 on the direct path and B=51 on the log-space path
+        # checked from B=50 to B=51
         r = true_rates(0.05, 0.2)
         for n_t in (0, 4, 20):
             for n_m in (0, 3, 11):
-                want = ((1.0 - r.FP) * detection_likelihood(n_m, n_t, 50, r)
-                        + (r.FP * detection_likelihood(n_m - 1, n_t, 50, r)
+                want = ((1.0 - r.FP) * likelihood_vector(n_m, 50, r)[n_t]
+                        + (r.FP * likelihood_vector(n_m - 1, 50, r)[n_t]
                            if n_m > 0 else 0.0))
-                got = detection_likelihood(n_m, n_t, 51, r)
+                got = likelihood_vector(n_m, 51, r)[n_t]
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
 
     @pytest.mark.parametrize("B,n_m,fp,fn", [(51, 3, 0.05, 0.2), (51, 11, 0.05, 0.2),

@@ -126,12 +126,6 @@ class TestThermalPopulation:
         t = HBAR * 2 * math.pi * f * GHZ / BOLTZMANN_K
         assert thermal_population(f, t) == pytest.approx(math.tanh(1.0), rel=1e-12)
 
-    def test_half_convention(self):
-        f = 5.0
-        t = HBAR * 2 * math.pi * f * GHZ / BOLTZMANN_K
-        assert thermal_population(f, t, convention="half") == pytest.approx(
-            math.tanh(0.5), rel=1e-12)
-
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(InvalidParameterError):
             thermal_population(5.0, 0.0)
@@ -164,14 +158,6 @@ class TestFluxToFreq:
         got = flux_to_freq(self.CFG, 1.0)
         assert got == pytest.approx(expected, rel=1e-12)
         assert abs(got - 7.99212) < 1e-5
-
-    def test_quadratic_approximation_regime(self):
-        # relative error < 1e-3 for |flux| <= 0.05 N / pi
-        dmax = 0.05 * 100 / math.pi
-        d = np.linspace(-dmax, dmax, 41)
-        exact = flux_to_freq(self.CFG, d)
-        approx = flux_to_freq(self.CFG, d, quadratic=True)
-        assert np.max(np.abs(approx / exact - 1)) < 1e-3
 
     def test_never_exceeds_bare(self):
         d = np.linspace(-3, 3, 301)
