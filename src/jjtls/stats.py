@@ -148,47 +148,51 @@ def spearman(x, y) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Ridge regression with leave-one-out cross-validation
 
-def _ridge_loocv_predictions(X: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
-    """Honest LOOCV: standardization and fit are redone per fold."""
-    n, k = X.shape
-    preds = np.empty(n)
+def _ridge_loocv_predictions(X: np.ndarray, y: np.ndarray, alphas) -> np.ndarray:
+    """Honest LOOCV: standardization and fit are redone per fold, with one solve
+    per fold for every design in the stack X (..., n, k) and every alpha; a
+    column constant over a fold's training rows scores z = 0 in that fold.
+    Returns the held-out predictions, shape (..., len(alphas), n)."""
+    n, k = X.shape[-2:]
+    ridge = alphas[:, None, None] * np.eye(k)
+    preds = np.empty(X.shape[:-2] + (ridge.shape[0], n))
     for i in range(n):
-        mask = np.ones(n, dtype=bool)
-        mask[i] = False
-        Xt, yt = X[mask], y[mask]
-        mu = Xt.mean(axis=0)
-        sd = Xt.std(axis=0)
-        sd[sd == 0] = 1.0
-        Z = (Xt - mu) / sd
+        mask = np.arange(n) != i
+        Xt, yt = X[..., mask, :], y[mask]  # C order for any layout of X: fixed sum order
+        mu = Xt.mean(axis=-2, keepdims=True)
+        sd = Xt.std(axis=-2, keepdims=True)
+        varying = np.ptp(Xt, axis=-2, keepdims=True) > 0
+        Z = np.divide(Xt - mu, sd, out=np.zeros_like(Xt), where=varying)
+        zi = np.divide(X[..., i:i + 1, :] - mu, sd, out=np.zeros_like(mu), where=varying)
         ym = yt.mean()
-        w = np.linalg.solve(Z.T @ Z + alpha * np.eye(k), Z.T @ (yt - ym))
-        preds[i] = ym + float(((X[i] - mu) / sd) @ w)
+        Zt = np.swapaxes(Z, -1, -2)
+        w = np.linalg.solve((Zt @ Z)[..., None, :, :] + ridge,
+                            (Zt @ (yt - ym))[..., None, :, None])
+        preds[..., i] = ym + (zi[..., None, :, :] @ w)[..., 0, 0]
     return preds
 
 
-def ridge_loocv_r2(X: np.ndarray, y: np.ndarray, alpha: float) -> float:
-    """LOOCV R^2 = 1 - SS_resid(held out) / SS_total."""
-    if alpha <= 0:
+def ridge_loocv_r2(X: np.ndarray, y: np.ndarray, alpha):
+    """LOOCV R^2 = 1 - SS_resid(held out) / SS_total of each design in the stack
+    X (..., n, k) at each alpha, shape X.shape[:-2] + np.shape(alpha)."""
+    alphas = np.ravel(np.asarray(alpha, dtype=float))
+    if np.any(alphas <= 0):
         raise ValidationError("ridge alpha must be > 0")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = X.shape[0]
-    if n < 4:
-        raise ValidationError(f"need >= 4 observations, got {n}")
-    preds = _ridge_loocv_predictions(X, y, alpha)
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    if X.shape[-2] < 4:
+        raise ValidationError(f"need >= 4 observations, got {X.shape[-2]}")
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot <= 0:
         raise DegenerateDataError("target has zero variance")
-    return 1.0 - float(np.sum((y - preds) ** 2)) / ss_tot
+    r2 = 1.0 - np.sum((y - _ridge_loocv_predictions(X, y, alphas)) ** 2, axis=-1) / ss_tot
+    return r2.reshape(X.shape[:-2] + np.shape(alpha))[()]
 
 
-def _select_alpha(X: np.ndarray, y: np.ndarray, grid=RIDGE_ALPHA_GRID) -> float:
-    best_alpha, best_r2 = None, -np.inf
-    for alpha in grid:
-        r2 = ridge_loocv_r2(X, y, alpha)
-        if r2 > best_r2:
-            best_alpha, best_r2 = alpha, r2
-    return float(best_alpha)
+def _select_alpha(X: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """The first alpha of RIDGE_ALPHA_GRID with the highest LOOCV R^2, and that R^2."""
+    r2 = ridge_loocv_r2(X, y, RIDGE_ALPHA_GRID)
+    best = int(np.argmax(r2))
+    return RIDGE_ALPHA_GRID[best], float(r2[best])
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +213,7 @@ def _spearman_matrix(X: np.ndarray) -> np.ndarray:
     return np.corrcoef(rankdata(X, axis=0), rowvar=False)
 
 
-def cluster_features(features, target, *,
-                     alpha: float | None = None) -> ClusterSelection:
+def cluster_features(features, target) -> ClusterSelection:
     """Group collinear features and pick one representative per group.
 
     Pairwise Spearman correlations become the distance 1 - |rho|; Ward
@@ -259,11 +262,9 @@ def cluster_features(features, target, *,
     scored = []
     for t in sorted(set(thresholds)):
         clusters, reps = cut(t)
-        Xr = X[:, list(reps)]
-        a = alpha if alpha is not None else _select_alpha(Xr, y)
+        a, r2 = _select_alpha(X[:, list(reps)], y)
         scored.append(ClusterSelection(threshold=t, clusters=clusters,
-                                       representatives=reps,
-                                       loocv_r2=ridge_loocv_r2(Xr, y, a),
+                                       representatives=reps, loocv_r2=r2,
                                        ridge_alpha=a))
     best_r2 = max(s.loocv_r2 for s in scored)
     # coarsest cut within the tie band
@@ -308,16 +309,15 @@ def ridge_permutation_importance(features, target, *, alpha: float | None = None
     if repeats < 1:
         raise ValidationError("repeats must be >= 1")
 
-    a = alpha if alpha is not None else _select_alpha(X, y)
-    base = ridge_loocv_r2(X, y, a)
+    a = alpha if alpha is not None else _select_alpha(X, y)[0]
+    base = float(ridge_loocv_r2(X, y, a))
     rng = np.random.default_rng(seed)
-    importances = {}
+    shuffled = np.broadcast_to(X, (k, repeats, n, k)).copy()
     for j in range(k):
-        drops = np.empty(repeats)
         for rep in range(repeats):
-            Xp = X.copy()
-            Xp[:, j] = rng.permutation(Xp[:, j])
-            drops[rep] = base - ridge_loocv_r2(Xp, y, a)
-        importances[feature_names[j]] = (float(drops.mean()), float(drops.std(ddof=1)))
+            shuffled[j, rep, :, j] = rng.permutation(X[:, j])
+    drops = base - ridge_loocv_r2(shuffled, y, a)
+    importances = {name: (float(d.mean()), float(d.std(ddof=1)))
+                   for name, d in zip(feature_names, drops)}
     return RegressionReport(feature_names=feature_names, ridge_alpha=a,
                             loocv_r2=base, importances=importances)

@@ -98,3 +98,54 @@ def exact_threshold(params, noise_sigma: float, ensemble_size: int, seed: int = 
     return m_noise, m_tls, DetectorCalibration(
         threshold=threshold, fp=fp, fn=fn, noise_sigma=noise_sigma,
         gauss_noise=(mu1, s1), gauss_tls=(mu2, s2))
+
+
+def ridge_loocv_predictions_loop(X: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
+    """Honest LOOCV: standardization and fit are redone per fold."""
+    n, k = X.shape
+    preds = np.empty(n)
+    for i in range(n):
+        mask = np.ones(n, dtype=bool)
+        mask[i] = False
+        Xt, yt = X[mask], y[mask]
+        mu = Xt.mean(axis=0)
+        sd = Xt.std(axis=0)
+        sd[sd == 0] = 1.0
+        Z = (Xt - mu) / sd
+        ym = yt.mean()
+        w = np.linalg.solve(Z.T @ Z + alpha * np.eye(k), Z.T @ (yt - ym))
+        preds[i] = ym + float(((X[i] - mu) / sd) @ w)
+    return preds
+
+
+def ridge_loocv_r2_loop(X: np.ndarray, y: np.ndarray, alpha: float) -> float:
+    """LOOCV R^2 from the one-fold-at-a-time predictions."""
+    preds = ridge_loocv_predictions_loop(X, y, alpha)
+    return 1.0 - float(np.sum((y - preds) ** 2)) / float(np.sum((y - y.mean()) ** 2))
+
+
+def ridge_loocv_predictions_dropping_flat(X: np.ndarray, y: np.ndarray,
+                                          alpha: float) -> np.ndarray:
+    """LOOCV that refits each fold without the columns constant over its
+    training rows, whatever the held-out row holds."""
+    preds = np.empty(X.shape[0])
+    for i in range(X.shape[0]):
+        varying = np.ptp(np.delete(X, i, axis=0), axis=0) > 0
+        preds[i] = ridge_loocv_predictions_loop(X[:, varying], y, alpha)[i]
+    return preds
+
+
+def permutation_importance_loop(X: np.ndarray, y: np.ndarray, alpha: float,
+                                repeats: int, seed: int) -> list:
+    """(mean, std) R^2 drop per column, one shuffled design scored at a time."""
+    base = ridge_loocv_r2_loop(X, y, alpha)
+    rng = np.random.default_rng(seed)
+    out = []
+    for j in range(X.shape[1]):
+        drops = np.empty(repeats)
+        for rep in range(repeats):
+            Xp = X.copy()
+            Xp[:, j] = rng.permutation(Xp[:, j])
+            drops[rep] = base - ridge_loocv_r2_loop(Xp, y, alpha)
+        out.append((float(drops.mean()), float(drops.std(ddof=1))))
+    return out

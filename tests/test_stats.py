@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from _oracles import (permutation_importance_loop, ridge_loocv_predictions_dropping_flat,
+                      ridge_loocv_predictions_loop, ridge_loocv_r2_loop)
 from jjtls.errors import DegenerateDataError, ValidationError
-from jjtls.stats import (cluster_features, gamma_fit,
-                         kruskal_wallis, pearson, ridge_loocv_r2,
+from jjtls.stats import (RIDGE_ALPHA_GRID, _ridge_loocv_predictions, cluster_features,
+                         gamma_fit, kruskal_wallis, pearson, ridge_loocv_r2,
                          ridge_permutation_importance, shapiro_wilk, spearman)
 
 # Reference (W, p) values from the AS R94 reference implementation
@@ -257,18 +259,15 @@ def latent_factor_design(seed, n=40, copies=5, noise=0.01):
 
 
 class TestClusterFeatures:
-    def test_zero_threshold_is_singletons(self):
-        X, y = latent_factor_design(0)
-        sel = cluster_features(X, y, alpha=1.0)
-        # the chosen cut may merge, but the zero cut must exist and produce
-        # one cluster per feature when evaluated directly
-        from scipy.cluster.hierarchy import fcluster, linkage
-        from scipy.spatial.distance import squareform
-
-        assert sel.threshold >= 0.0
-        labels_zero = np.arange(X.shape[1])
-        sel0 = cluster_features(X[:, :4], y, alpha=1.0)
-        assert all(len(c) >= 1 for c in sel0.clusters)
+    def test_alpha_is_first_grid_maximum(self):
+        for seed in (0, 3):
+            X, y = latent_factor_design(seed)
+            sel = cluster_features(X, y)
+            Xr = X[:, list(sel.representatives)]
+            r2 = [ridge_loocv_r2_loop(Xr, y, a) for a in RIDGE_ALPHA_GRID]
+            best = next(m for m, v in enumerate(r2) if v == max(r2))
+            assert sel.ridge_alpha == RIDGE_ALPHA_GRID[best]
+            assert sel.loocv_r2 == pytest.approx(r2[best], rel=1e-12)
 
     def test_duplicated_columns_share_cluster(self):
         rng = np.random.default_rng(3)
@@ -376,3 +375,49 @@ class TestRidgeLoocv:
             preds[i] = yt.mean() + ((X[i] - mu) / sd) @ w
         want = 1 - np.sum((y - preds) ** 2) / np.sum((y - y.mean()) ** 2)
         assert ridge_loocv_r2(X, y, alpha) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n, k, batch", [(4, 1, (5,)), (60, 8, (3, 2))])
+    def test_batched_matches_loop(self, n, k, batch):
+        rng = np.random.default_rng(n + k)
+        Xs = rng.standard_normal(batch + (n, k))
+        y = Xs[(0,) * len(batch)] @ rng.standard_normal(k) + 0.5 * rng.standard_normal(n)
+        alphas = np.logspace(-3, 3, 7)
+        preds = _ridge_loocv_predictions(Xs, y, alphas)
+        r2 = ridge_loocv_r2(Xs, y, alphas)
+        assert preds.shape == batch + (7, n) and r2.shape == batch + (7,)
+        for b in np.ndindex(batch):
+            for m, alpha in enumerate(alphas):
+                np.testing.assert_allclose(
+                    preds[b + (m,)], ridge_loocv_predictions_loop(Xs[b], y, alpha),
+                    rtol=1e-12)
+                assert r2[b + (m,)] == pytest.approx(
+                    ridge_loocv_r2_loop(Xs[b], y, alpha), rel=1e-12)
+
+    @pytest.mark.parametrize("value", [0.34, 55.3])
+    def test_fold_constant_column_drops_out_of_that_fold(self, value):
+        # column 1 is constant in every row but row 5, so the fold that holds
+        # row 5 out sees a constant column whose training std rounds above 0
+        rng = np.random.default_rng(14)
+        X = rng.standard_normal((20, 3))
+        X[:, 1] = value
+        X[5, 1] = 2.0 * value
+        y = X[:, 0] - X[:, 2] + 0.1 * rng.standard_normal(20)
+        for alpha in (1e-3, 1.0):
+            got = _ridge_loocv_predictions(X, y, np.array([alpha]))[0]
+            np.testing.assert_allclose(
+                got, ridge_loocv_predictions_dropping_flat(X, y, alpha), rtol=1e-12)
+
+    @pytest.mark.parametrize("design, alpha, repeats, seed", [
+        ("latent", 1.0, 15, 9), ("signal", 1e-6, 30, 4), ("null", 1e-3, 20, 0)])
+    def test_importances_match_loop(self, design, alpha, repeats, seed):
+        rng = np.random.default_rng(seed)
+        if design == "latent":
+            X, y = latent_factor_design(seed, n=24, copies=2)
+        else:
+            X = rng.standard_normal((40, 5))
+            y = (X[:, 1] if design == "signal" else 0.0) + 0.05 * rng.standard_normal(40)
+        rep = ridge_permutation_importance(X, y, alpha=alpha, repeats=repeats, seed=seed)
+        want = permutation_importance_loop(X, y, alpha, repeats, seed)
+        for (mean, std), (want_mean, want_std) in zip(rep.importances.values(), want):
+            assert mean == pytest.approx(want_mean, rel=1e-12, abs=1e-15)
+            assert std == pytest.approx(want_std, rel=1e-12, abs=1e-15)
