@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lstsq
 from scipy.ndimage import convolve1d
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares, leastsq
 
 from .errors import (DegenerateDataError, InvalidParameterError, NoResonanceError,
                      ValidationError)
@@ -202,7 +202,11 @@ def fit_hanger(trace: Trace, init: ResonatorParams | None = None,
 
     Without an explicit initial guess, seeds come from the background
     filter (amplitude and phase slopes from the background region, f_r and
-    Q_l from the resonance width).  Non-convergence is reported through the
+    Q_l from the resonance width).  The solver is MINPACK's Levenberg-Marquardt
+    with the analytic Jacobian; if it fails or its optimum leaves the box (f_r
+    within one span of the grid, Q_l and |Q_e| in [1, 1e12], |theta| <= pi,
+    A >= 1e-12), bounded trust-region-reflective least squares from the same
+    start stands instead.  Non-convergence is reported through the
     ``converged`` flag; only a background seeding that finds no resonance
     raises (NoResonanceError).  The residual metric is taken from the final
     least-squares residual.
@@ -221,10 +225,15 @@ def fit_hanger(trace: Trace, init: ResonatorParams | None = None,
     p0 = np.clip(p0, lower + 1e-15, upper - 1e-15)
 
     try:
-        res = least_squares(_residuals, p0, jac=_jacobian, args=(f, data),
-                            method="trf", bounds=(lower, upper), x_scale="jac",
-                            ftol=1e-10, xtol=1e-12, gtol=1e-12, max_nfev=max_nfev)
-        popt, fun, nfev, success = res.x, res.fun, int(res.nfev), bool(res.success)
+        popt, _, info, _, ier = leastsq(_residuals, p0, args=(f, data), Dfun=_jacobian,
+                                        full_output=True, ftol=1e-10, xtol=1e-12,
+                                        gtol=1e-12, maxfev=max_nfev)
+        fun, nfev, success = info["fvec"], int(info["nfev"]), ier in (1, 2, 3, 4)
+        if not (success and np.all((lower <= popt) & (popt <= upper))):
+            res = least_squares(_residuals, p0, jac=_jacobian, args=(f, data),
+                                method="trf", bounds=(lower, upper), x_scale="jac",
+                                ftol=1e-10, xtol=1e-12, gtol=1e-12, max_nfev=max_nfev)
+            popt, fun, nfev, success = res.x, res.fun, int(res.nfev), bool(res.success)
     except (ValueError, np.linalg.LinAlgError):
         popt, nfev, success = p0, 0, False
         fun = _residuals(p0, f, data)

@@ -100,6 +100,60 @@ def exact_threshold(params, noise_sigma: float, ensemble_size: int, seed: int = 
         gauss_noise=(mu1, s1), gauss_tls=(mu2, s2))
 
 
+def fit_hanger_trf(trace, init=None, *, max_nfev: int = 200):
+    """``fitting.fit_hanger`` as bounded trust-region-reflective least squares
+    alone, kept line for line from before the fit moved to MINPACK's
+    Levenberg-Marquardt.
+
+    Without an explicit initial guess, seeds come from the background
+    filter (amplitude and phase slopes from the background region, f_r and
+    Q_l from the resonance width).  Non-convergence is reported through the
+    ``converged`` flag; only a background seeding that finds no resonance
+    raises (NoResonanceError).  The residual metric is taken from the final
+    least-squares residual.
+    """
+    import math
+
+    from scipy.optimize import least_squares
+
+    from jjtls.errors import DegenerateDataError, InvalidParameterError
+    from jjtls.fitting import (FitResult, _jacobian, _metric, _residuals,
+                               _seed_from_background, background_split)
+    from jjtls.physics import ResonatorParams
+
+    f = trace.freqs
+    data = trace.s21
+    if init is not None:
+        p0 = init.as_array()
+    else:
+        split = background_split(trace)  # NoResonanceError propagates
+        p0 = _seed_from_background(trace, split)
+
+    span = float(f[-1] - f[0])
+    lower = np.array([f[0] - span, 1.0, 1.0, -math.pi, 1e-12, -np.inf, -np.inf, -np.inf])
+    upper = np.array([f[-1] + span, 1e12, 1e12, math.pi, np.inf, np.inf, np.inf, np.inf])
+    p0 = np.clip(p0, lower + 1e-15, upper - 1e-15)
+
+    try:
+        res = least_squares(_residuals, p0, jac=_jacobian, args=(f, data),
+                            method="trf", bounds=(lower, upper), x_scale="jac",
+                            ftol=1e-10, xtol=1e-12, gtol=1e-12, max_nfev=max_nfev)
+        popt, fun, nfev, success = res.x, res.fun, int(res.nfev), bool(res.success)
+    except (ValueError, np.linalg.LinAlgError):
+        popt, nfev, success = p0, 0, False
+        fun = _residuals(p0, f, data)
+
+    params = ResonatorParams.from_array(popt)
+    try:
+        params.validate()
+        metric = _metric(fun, data)
+    except (InvalidParameterError, DegenerateDataError):
+        metric = float("inf")
+
+    return FitResult(params=params, residual_metric=metric,
+                     converged=success and math.isfinite(metric), n_evals=nfev)
+
+
 def ridge_loocv_predictions_loop(X: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     """Honest LOOCV: standardization and fit are redone per fold."""
     n, k = X.shape
