@@ -19,9 +19,9 @@ from scipy.special import ndtr
 
 from .errors import (CalibrationError, ConvergenceError, DegenerateDataError,
                      NoResonanceError, ValidationError)
-from .fitting import (FAILED_FIT, FitResult, _jacobian, _metric, _residuals,
-                      fit_flux_parabola, fit_hanger, savgol)
-from .physics import (RNG_CAL_NOISE, RNG_THRESHOLD, ResonatorParams, Trace,
+from .fitting import (FAILED_FIT, FitResult, _metric, fit_flux_parabola, fit_hanger,
+                      savgol)
+from .physics import (RNG_CAL_NOISE, RNG_THRESHOLD, Hanger, ResonatorParams, Trace,
                       TLSDefect, hanger_s21, tls_s21)
 
 EXCLUSION_REASONS = ("collision", "past-maximum")
@@ -316,12 +316,13 @@ class _Tangent:
     step: np.ndarray     # (8, 8)
 
     @classmethod
-    def at(cls, grid: np.ndarray, model: np.ndarray, p: np.ndarray,
-           r0: np.ndarray) -> "_Tangent":
-        J = _jacobian(p, grid, model)
+    def at(cls, grid: np.ndarray, model: np.ndarray, p: np.ndarray) -> "_Tangent":
+        hanger = Hanger(grid, model)
+        J = hanger.jacobian(p).T
         scale = np.linalg.norm(J, axis=0)   # column scaling keeps R well conditioned
         Q, R = np.linalg.qr(J / scale)
-        return cls(model=model, p=p, r0=r0, Q=Q, step=np.linalg.inv(R).T / scale)
+        return cls(model=model, p=p, r0=hanger.residuals(p), Q=Q,
+                   step=np.linalg.inv(R).T / scale)
 
     def metrics(self, sigma: float, noise: np.ndarray) -> np.ndarray:
         """Projected residual metric of each member of a noise block.
@@ -392,7 +393,7 @@ def calibrate_noise(baseline_trace: Trace, fit: FitResult, *,
     rng = np.random.default_rng([seed, RNG_CAL_NOISE])
     # every member's real parts, then every member's imaginary parts
     noise = rng.standard_normal((2, ensemble, grid.size)).swapaxes(0, 1)
-    tangent = _Tangent.at(grid, model, fit.params.as_array(), np.zeros(2 * grid.size))
+    tangent = _Tangent.at(grid, model, fit.params.as_array())
 
     def projected(sigma: float) -> float:
         return float(np.median(_finite_members(tangent.metrics(sigma, noise))))
@@ -494,7 +495,7 @@ def build_threshold(params: ResonatorParams, noise_sigma: float,
             raise CalibrationError("reference fit of the noiseless ensemble trace "
                                    "left the physical region")
         p = ref.params.as_array()
-        tangent = _Tangent.at(grid, model, p, _residuals(p, grid, model))
+        tangent = _Tangent.at(grid, model, p)
         start = copy.deepcopy(rng)
 
         def replay(n: int):

@@ -12,7 +12,7 @@ from scipy.optimize import least_squares, leastsq
 
 from .errors import (DegenerateDataError, InvalidParameterError, NoResonanceError,
                      ValidationError)
-from .physics import ResonatorParams, Trace, hanger_jacobian, hanger_model
+from .physics import Hanger, ResonatorParams, Trace
 
 SNR_CAP = 1e12
 SPLIT_REL_FLOOR = 0.1     # resonance region: derivative variance >= this * peak
@@ -137,9 +137,12 @@ def _metric(res: np.ndarray, data: np.ndarray) -> float | np.ndarray:
     A leading batch axis on ``res`` and ``data`` gives one metric per row.
     """
     m = data.shape[-1]
-    var = np.var(res[..., :m], axis=-1) + np.var(res[..., m:], axis=-1)
-    denom = np.mean(np.abs(data), axis=-1)
-    if not np.all((denom > 0) & np.isfinite(denom)):
+    d = res.reshape(res.shape[:-1] + (2, m))
+    d = d - np.add.reduce(d, axis=-1, keepdims=True) / m   # np.var's steps, bit for bit
+    var = np.add.reduce(d * d, axis=-1) / m
+    var = var[..., 0] + var[..., 1]
+    denom = np.add.reduce(np.abs(data), axis=-1) / m      # np.mean's
+    if not ((denom > 0) & np.isfinite(denom)).all():
         raise DegenerateDataError("mean |S21| is zero; metric undefined")
     return var / denom if var.ndim else float(var / denom)
 
@@ -151,17 +154,7 @@ def residual_metric(trace: Trace, params: ResonatorParams) -> float:
     variances; the normalization is the mean magnitude of the data.
     """
     params.validate()
-    return _metric(_residuals(params.as_array(), trace.freqs, trace.s21), trace.s21)
-
-
-def _residuals(p: np.ndarray, f: np.ndarray, data: np.ndarray) -> np.ndarray:
-    s = hanger_model(p, f) - data
-    return np.concatenate([s.real, s.imag])
-
-
-def _jacobian(p: np.ndarray, f: np.ndarray, data: np.ndarray) -> np.ndarray:
-    dS = hanger_jacobian(p, f)
-    return np.concatenate([dS.real, dS.imag], axis=1).T
+    return _metric(Hanger(trace.freqs, trace.s21).residuals(params.as_array()), trace.s21)
 
 
 def _seed_from_background(trace: Trace, split: BackgroundSplit) -> np.ndarray:
@@ -206,13 +199,16 @@ def fit_hanger(trace: Trace, init: ResonatorParams | None = None,
     with the analytic Jacobian; if it fails or its optimum leaves the box (f_r
     within one span of the grid, Q_l and |Q_e| in [1, 1e12], |theta| <= pi,
     A >= 1e-12), bounded trust-region-reflective least squares from the same
-    start stands instead.  Non-convergence is reported through the
-    ``converged`` flag; only a background seeding that finds no resonance
+    start stands instead.  Both solvers evaluate one :class:`Hanger`.
+    Non-convergence is reported through the ``converged`` flag, which a
+    non-finite sample (FAILED_FIT) or a linewidth f_r/Q_l below one grid
+    step also clears; only a background seeding that finds no resonance
     raises (NoResonanceError).  The residual metric is taken from the final
     least-squares residual.
     """
-    f = trace.freqs
-    data = trace.s21
+    f, data = trace.freqs, trace.s21
+    if not np.isfinite(data).all():
+        return FAILED_FIT
     if init is not None:
         p0 = init.as_array()
     else:
@@ -224,19 +220,19 @@ def fit_hanger(trace: Trace, init: ResonatorParams | None = None,
     upper = np.array([f[-1] + span, 1e12, 1e12, math.pi, np.inf, np.inf, np.inf, np.inf])
     p0 = np.clip(p0, lower + 1e-15, upper - 1e-15)
 
+    hanger = Hanger(f, data)
     try:
-        popt, _, info, _, ier = leastsq(_residuals, p0, args=(f, data), Dfun=_jacobian,
-                                        full_output=True, ftol=1e-10, xtol=1e-12,
-                                        gtol=1e-12, maxfev=max_nfev)
+        popt, _, info, _, ier = leastsq(hanger.residuals, p0, Dfun=hanger.jacobian,
+                                        full_output=True, col_deriv=True, ftol=1e-10,
+                                        xtol=1e-12, gtol=1e-12, maxfev=max_nfev)
         fun, nfev, success = info["fvec"], int(info["nfev"]), ier in (1, 2, 3, 4)
-        if not (success and np.all((lower <= popt) & (popt <= upper))):
-            res = least_squares(_residuals, p0, jac=_jacobian, args=(f, data),
+        if not (success and ((lower <= popt) & (popt <= upper)).all()):
+            res = least_squares(hanger.residuals, p0, jac=lambda p: hanger.jacobian(p).T,
                                 method="trf", bounds=(lower, upper), x_scale="jac",
                                 ftol=1e-10, xtol=1e-12, gtol=1e-12, max_nfev=max_nfev)
             popt, fun, nfev, success = res.x, res.fun, int(res.nfev), bool(res.success)
     except (ValueError, np.linalg.LinAlgError):
-        popt, nfev, success = p0, 0, False
-        fun = _residuals(p0, f, data)
+        popt, fun, nfev, success = p0, hanger.residuals(p0), 0, False
 
     params = ResonatorParams.from_array(popt)
     try:
@@ -245,8 +241,9 @@ def fit_hanger(trace: Trace, init: ResonatorParams | None = None,
     except (InvalidParameterError, DegenerateDataError):
         metric = float("inf")
 
-    return FitResult(params=params, residual_metric=metric,
-                     converged=success and math.isfinite(metric), n_evals=nfev)
+    converged = success and math.isfinite(metric) and params.kappa >= span / (f.size - 1)
+    return FitResult(params=params, residual_metric=metric, converged=converged,
+                     n_evals=nfev)
 
 
 def estimate_snr(trace: Trace) -> float:

@@ -151,52 +151,75 @@ def thermal_population(f_tls: float, temperature: float) -> float:
     return math.tanh(HBAR * 2.0 * math.pi * f_tls * GHZ / (BOLTZMANN_K * temperature))
 
 
-def _background(p: np.ndarray, f: np.ndarray):
+def _background(f: np.ndarray, f_r: float, A: float, alpha: float, phi_v: float,
+                phi_0: float):
     """x = (f - f_r) / f_r, background A (1 + alpha x), phase exp(i (phi_v f + phi_0))."""
-    f_r, A, alpha, phi_v, phi_0 = p[0], p[4], p[5], p[6], p[7]
     x = (f - f_r) / f_r
     return x, A * (1.0 + alpha * x), np.exp(1j * (phi_v * f + phi_0))
 
 
-def hanger_model(p: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Hanger S21 for the 8-vector p in PARAM_NAMES order, unvalidated.
+class Hanger:
+    """Hanger S21 on the grid ``f`` for the 8-vector p in PARAM_NAMES order:
 
     S21 = A (1 + alpha x) (1 - (Q_l/|Q_e|) e^{i theta} / (1 + 2 i Q_l x))
-          * exp(i (phi_v f + phi_0)),   x = (f - f_r) / f_r
+          * exp(i (phi_v f + phi_0)),   x = (f - f_r) / f_r,  p unvalidated.
+
+    The terms are built once for the last p seen (keyed on its bytes) and
+    shared by the model, the stacked [real, imag] residual S21 - ``data`` and
+    its (8, 2M) Jacobian; a repeat call returns the same array, a new p new ones.
     """
-    x, bg, E = _background(p, f)
-    Q_l, Q_e, theta = p[1], p[2], p[3]
-    dip = 1.0 - (Q_l / Q_e) * np.exp(1j * theta) / (1.0 + 2j * Q_l * x)
-    return bg * dip * E
 
+    def __init__(self, f: np.ndarray, data: np.ndarray | None = None):
+        self.f, self.data, self._key = f, data, None
+        self._neg_f, self._jf = -f, 1j * f
 
-def hanger_jacobian(p: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Analytic dS21/dp of :func:`hanger_model`: shape (8, f.size), PARAM_NAMES rows."""
-    f_r, Q_l, Q_e, th, A, al = p[0], p[1], p[2], p[3], p[4], p[5]
-    x, bg, E = _background(p, f)
-    D = 1.0 + 2j * Q_l * x
-    lor = (Q_l / Q_e) * np.exp(1j * th) / D
-    R = 1.0 - lor
-    S = bg * R * E
-    dxdfr = -f / f_r**2
-    dRdx = lor * 2j * Q_l / D
-    dS = np.empty((8, f.size), dtype=complex)
-    dS[0] = E * (A * al * dxdfr * R + bg * dRdx * dxdfr)
-    dS[1] = -bg * E * (np.exp(1j * th) / Q_e) / D**2
-    dS[2] = bg * E * lor / Q_e
-    dS[3] = -1j * bg * E * lor
-    dS[4] = S / A
-    dS[5] = A * x * R * E
-    dS[6] = 1j * f * S
-    dS[7] = 1j * S
-    return dS
+    def _at(self, p: np.ndarray) -> None:
+        key = p.tobytes()
+        if key == self._key:
+            return
+        f_r, Q_l, Q_e, th, A, al, phi_v, phi_0 = p.tolist()
+        x, bg, E = _background(self.f, f_r, A, al, phi_v, phi_0)
+        D = 1.0 + 2j * Q_l * x
+        eth = np.exp(1j * th)
+        lor = (Q_l / Q_e) * eth / D
+        R = 1.0 - lor
+        self._terms = f_r, Q_l, Q_e, eth, A, al, x, bg, E, D, lor, R
+        self._key, self._S, self._res, self._jac = key, bg * R * E, None, None
+
+    def model(self, p: np.ndarray) -> np.ndarray:
+        self._at(p)
+        return self._S
+
+    def residuals(self, p: np.ndarray) -> np.ndarray:
+        self._at(p)
+        if self._res is None:
+            s = self._S - self.data
+            self._res = np.concatenate([s.real, s.imag])
+        return self._res
+
+    def jacobian(self, p: np.ndarray) -> np.ndarray:
+        self._at(p)
+        if self._jac is None:
+            f_r, Q_l, Q_e, eth, A, al, x, bg, E, D, lor, R = self._terms
+            S, bgE, dxdfr, dRdx = self._S, bg * E, self._neg_f / f_r**2, lor * 2j * Q_l / D
+            dS = np.empty((8, S.size), dtype=complex)
+            np.multiply(E, A * al * dxdfr * R + bg * dRdx * dxdfr, out=dS[0])
+            np.divide(-bgE * (eth / Q_e), D**2, out=dS[1])
+            np.divide(bgE * lor, Q_e, out=dS[2])
+            np.multiply(-1j * bgE, lor, out=dS[3])
+            np.divide(S, A, out=dS[4])
+            np.multiply(A * x * R, E, out=dS[5])
+            np.multiply(self._jf, S, out=dS[6])
+            np.multiply(1j, S, out=dS[7])
+            self._jac = np.concatenate([dS.real, dS.imag], axis=1)
+        return self._jac
 
 
 def hanger_s21(params: ResonatorParams, f) -> np.ndarray | complex:
-    """Complex hanger transmission at frequency f [GHz] (see :func:`hanger_model`)."""
+    """Complex hanger transmission at frequency f [GHz] (see :class:`Hanger`)."""
     params.validate()
     farr = np.asarray(f, dtype=float)
-    out = hanger_model(params.as_array(), farr)
+    out = Hanger(farr).model(params.as_array())
     return out if farr.ndim else complex(out)
 
 
@@ -225,7 +248,8 @@ def tls_s21(params: ResonatorParams, tls: TLSDefect, f) -> np.ndarray | complex:
     dip = 1.0 - 0.5 * w_r * inv_qe / (1j * (w - w_r) + w_r / (2.0 * params.Q_l)
                                       + 1j * g_w * chi)
 
-    _, bg, E = _background(params.as_array(), farr)
+    _, bg, E = _background(farr, params.f_r, params.A, params.alpha, params.phi_v,
+                           params.phi_0)
     out = bg * dip * E
     return out if farr.ndim else complex(out)
 

@@ -100,29 +100,79 @@ def exact_threshold(params, noise_sigma: float, ensemble_size: int, seed: int = 
         gauss_noise=(mu1, s1), gauss_tls=(mu2, s2))
 
 
-def fit_hanger_trf(trace, init=None, *, max_nfev: int = 200):
-    """``fitting.fit_hanger`` as bounded trust-region-reflective least squares
-    alone, kept line for line from before the fit moved to MINPACK's
-    Levenberg-Marquardt.
+# The separate hanger functions that ``physics.Hanger`` replaced, as they were;
+# the evaluator and the fit must equal them bit for bit.
 
-    Without an explicit initial guess, seeds come from the background
-    filter (amplitude and phase slopes from the background region, f_r and
-    Q_l from the resonance width).  Non-convergence is reported through the
-    ``converged`` flag; only a background seeding that finds no resonance
-    raises (NoResonanceError).  The residual metric is taken from the final
-    least-squares residual.
+def _background(p: np.ndarray, f: np.ndarray):
+    """x = (f - f_r) / f_r, background A (1 + alpha x), phase exp(i (phi_v f + phi_0))."""
+    f_r, A, alpha, phi_v, phi_0 = p[0], p[4], p[5], p[6], p[7]
+    x = (f - f_r) / f_r
+    return x, A * (1.0 + alpha * x), np.exp(1j * (phi_v * f + phi_0))
+
+
+def hanger_model(p: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Hanger S21 for the 8-vector p in PARAM_NAMES order, unvalidated.
+
+    S21 = A (1 + alpha x) (1 - (Q_l/|Q_e|) e^{i theta} / (1 + 2 i Q_l x))
+          * exp(i (phi_v f + phi_0)),   x = (f - f_r) / f_r
     """
+    x, bg, E = _background(p, f)
+    Q_l, Q_e, theta = p[1], p[2], p[3]
+    dip = 1.0 - (Q_l / Q_e) * np.exp(1j * theta) / (1.0 + 2j * Q_l * x)
+    return bg * dip * E
+
+
+def hanger_jacobian(p: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Analytic dS21/dp of :func:`hanger_model`: shape (8, f.size), PARAM_NAMES rows."""
+    f_r, Q_l, Q_e, th, A, al = p[0], p[1], p[2], p[3], p[4], p[5]
+    x, bg, E = _background(p, f)
+    D = 1.0 + 2j * Q_l * x
+    lor = (Q_l / Q_e) * np.exp(1j * th) / D
+    R = 1.0 - lor
+    S = bg * R * E
+    dxdfr = -f / f_r**2
+    dRdx = lor * 2j * Q_l / D
+    dS = np.empty((8, f.size), dtype=complex)
+    dS[0] = E * (A * al * dxdfr * R + bg * dRdx * dxdfr)
+    dS[1] = -bg * E * (np.exp(1j * th) / Q_e) / D**2
+    dS[2] = bg * E * lor / Q_e
+    dS[3] = -1j * bg * E * lor
+    dS[4] = S / A
+    dS[5] = A * x * R * E
+    dS[6] = 1j * f * S
+    dS[7] = 1j * S
+    return dS
+
+
+def _residuals(p: np.ndarray, f: np.ndarray, data: np.ndarray) -> np.ndarray:
+    s = hanger_model(p, f) - data
+    return np.concatenate([s.real, s.imag])
+
+
+def _jacobian(p: np.ndarray, f: np.ndarray, data: np.ndarray) -> np.ndarray:
+    dS = hanger_jacobian(p, f)
+    return np.concatenate([dS.real, dS.imag], axis=1).T
+
+
+def metric(res: np.ndarray, data: np.ndarray):
+    """``fitting._metric`` on numpy's own variance and mean."""
+    from jjtls.errors import DegenerateDataError
+
+    m = data.shape[-1]
+    var = np.var(res[..., :m], axis=-1) + np.var(res[..., m:], axis=-1)
+    denom = np.mean(np.abs(data), axis=-1)
+    if not np.all((denom > 0) & np.isfinite(denom)):
+        raise DegenerateDataError("mean |S21| is zero; metric undefined")
+    return var / denom if var.ndim else float(var / denom)
+
+
+def _start(trace, init):
+    """The clipped start and the box of the hanger fit."""
     import math
 
-    from scipy.optimize import least_squares
-
-    from jjtls.errors import DegenerateDataError, InvalidParameterError
-    from jjtls.fitting import (FitResult, _jacobian, _metric, _residuals,
-                               _seed_from_background, background_split)
-    from jjtls.physics import ResonatorParams
+    from jjtls.fitting import _seed_from_background, background_split
 
     f = trace.freqs
-    data = trace.s21
     if init is not None:
         p0 = init.as_array()
     else:
@@ -132,8 +182,43 @@ def fit_hanger_trf(trace, init=None, *, max_nfev: int = 200):
     span = float(f[-1] - f[0])
     lower = np.array([f[0] - span, 1.0, 1.0, -math.pi, 1e-12, -np.inf, -np.inf, -np.inf])
     upper = np.array([f[-1] + span, 1e12, 1e12, math.pi, np.inf, np.inf, np.inf, np.inf])
-    p0 = np.clip(p0, lower + 1e-15, upper - 1e-15)
+    return np.clip(p0, lower + 1e-15, upper - 1e-15), lower, upper
 
+
+def _result(popt, fun, nfev, success, data):
+    import math
+
+    from jjtls.errors import DegenerateDataError, InvalidParameterError
+    from jjtls.fitting import FitResult
+    from jjtls.physics import ResonatorParams
+
+    params = ResonatorParams.from_array(popt)
+    try:
+        params.validate()
+        value = metric(fun, data)
+    except (InvalidParameterError, DegenerateDataError):
+        value = float("inf")
+
+    return FitResult(params=params, residual_metric=value,
+                     converged=success and math.isfinite(value), n_evals=nfev)
+
+
+def fit_hanger_trf(trace, init=None, *, max_nfev: int = 200):
+    """``fitting.fit_hanger`` as bounded trust-region-reflective least squares
+    alone, on the hanger functions above, as it stood before the fit moved
+    to MINPACK's Levenberg-Marquardt.
+
+    Without an explicit initial guess, seeds come from the background
+    filter (amplitude and phase slopes from the background region, f_r and
+    Q_l from the resonance width).  Non-convergence is reported through the
+    ``converged`` flag; only a background seeding that finds no resonance
+    raises (NoResonanceError).  The residual metric is taken from the final
+    least-squares residual.
+    """
+    from scipy.optimize import least_squares
+
+    f, data = trace.freqs, trace.s21
+    p0, lower, upper = _start(trace, init)
     try:
         res = least_squares(_residuals, p0, jac=_jacobian, args=(f, data),
                             method="trf", bounds=(lower, upper), x_scale="jac",
@@ -142,16 +227,29 @@ def fit_hanger_trf(trace, init=None, *, max_nfev: int = 200):
     except (ValueError, np.linalg.LinAlgError):
         popt, nfev, success = p0, 0, False
         fun = _residuals(p0, f, data)
+    return _result(popt, fun, nfev, success, data)
 
-    params = ResonatorParams.from_array(popt)
+
+def fit_hanger_lm(trace, init=None, *, max_nfev: int = 200):
+    """``fitting.fit_hanger`` as it stood before the shared hanger evaluator:
+    MINPACK's Levenberg-Marquardt on the hanger functions above, and
+    :func:`fit_hanger_trf` where LM fails or its optimum leaves the box.
+    It checks neither for non-finite samples nor for a linewidth below the
+    grid step.
+    """
+    from scipy.optimize import leastsq
+
+    f, data = trace.freqs, trace.s21
+    p0, lower, upper = _start(trace, init)
     try:
-        params.validate()
-        metric = _metric(fun, data)
-    except (InvalidParameterError, DegenerateDataError):
-        metric = float("inf")
-
-    return FitResult(params=params, residual_metric=metric,
-                     converged=success and math.isfinite(metric), n_evals=nfev)
+        popt, _, info, _, ier = leastsq(_residuals, p0, args=(f, data), Dfun=_jacobian,
+                                        full_output=True, ftol=1e-10, xtol=1e-12,
+                                        gtol=1e-12, maxfev=max_nfev)
+    except (ValueError, np.linalg.LinAlgError):
+        return _result(p0, _residuals(p0, f, data), 0, False, data)
+    if ier in (1, 2, 3, 4) and np.all((lower <= popt) & (popt <= upper)):
+        return _result(popt, info["fvec"], int(info["nfev"]), True, data)
+    return fit_hanger_trf(trace, init, max_nfev=max_nfev)
 
 
 def ridge_loocv_predictions_loop(X: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from jjtls.constants import BOLTZMANN_K, GHZ, HBAR
 from jjtls.errors import InvalidParameterError, ValidationError
-from jjtls.physics import (PARAM_NAMES, FluxConfig, ResonatorParams, Scenario,
-                           TLSDefect, Trace, flux_to_freq, hanger_jacobian,
-                           hanger_model, hanger_s21, scenario_instrument,
-                           synth_trace, thermal_population, tls_s21,
-                           virtual_measure)
+from jjtls.physics import (PARAM_NAMES, FluxConfig, Hanger, ResonatorParams, Scenario,
+                           TLSDefect, Trace, flux_to_freq, hanger_s21,
+                           scenario_instrument, synth_trace, thermal_population,
+                           tls_s21, virtual_measure)
+
+from _oracles import _jacobian, _residuals, hanger_model
 
 BASE = ResonatorParams(f_r=5.0, Q_l=5000.0, Q_e_mag=10000.0)
 KAPPA = BASE.kappa
@@ -72,15 +73,105 @@ class TestHangerJacobian:
         params = ResonatorParams(**raw["resonator"])
         p, kappa = params.as_array(), params.kappa
         f = np.linspace(params.f_r - 5 * kappa, params.f_r + 5 * kappa, 201)
-        jac = hanger_jacobian(p, f)
-        assert jac.shape == (8, f.size)
+        hanger = Hanger(f, np.zeros(f.size, dtype=complex))
+        jac = hanger.jacobian(p)
+        assert jac.shape == (8, 2 * f.size)
         for i, name in enumerate(PARAM_NAMES):
             h = 1e-6 * (kappa if name == "f_r" else max(abs(p[i]), 1.0))
             step = np.zeros(8)
             step[i] = h
-            fd = (hanger_model(p + step, f) - hanger_model(p - step, f)) / (2 * h)
+            fd = (hanger.residuals(p + step) - hanger.residuals(p - step)) / (2 * h)
             err = np.max(np.abs(fd - jac[i])) / np.max(np.abs(jac[i]))
             assert err < 1e-6, f"{name}: relative error {err:.2e}"
+
+
+def _bits(a):
+    """The raw float64 words of ``a``: equal only if bit for bit, signed zeros too."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _hanger_cases():
+    """(p, f, data): random points plus the box's extremes in theta, Q_l and A."""
+    rng = np.random.default_rng(14)
+    cases = []
+    for k in range(60):
+        f_r = rng.uniform(1.0, 10.0)
+        p = np.array([f_r, 10 ** rng.uniform(0, 6), 10 ** rng.uniform(0, 6),
+                      rng.uniform(-math.pi, math.pi), 10 ** rng.uniform(-3, 1),
+                      rng.normal(0, 2), rng.normal(0, 5), rng.uniform(-7, 7)])
+        if k % 4 == 1:
+            p[3] = math.copysign(math.pi - 1e-15, p[3])
+        if k % 4 == 2:
+            p[1], p[2] = 1e12, 10 ** rng.uniform(11, 12)
+        if k % 4 == 3:
+            p[4] = 1e-12
+        kappa = f_r / min(p[1], 1e6)
+        f = np.linspace(f_r - 5 * kappa, f_r + 5 * kappa, int(rng.integers(16, 402)))
+        data = (hanger_model(p * (1 + rng.normal(0, 1e-3, 8)), f)
+                + rng.normal(0, 0.01, f.size) + 1j * rng.normal(0, 0.01, f.size))
+        cases.append((p, f, data))
+    return cases
+
+
+class TestHangerEvaluator:
+    """One evaluator of the hanger model: bit for bit the separate model,
+    residual and Jacobian functions it replaced (tests/_oracles.py), whatever
+    order it is called in."""
+
+    def test_equals_oracle_bit_for_bit(self):
+        for p, f, data in _hanger_cases():
+            hanger = Hanger(f, data)
+            np.testing.assert_array_equal(_bits(hanger.jacobian(p)),
+                                          _bits(_jacobian(p, f, data).T))
+            np.testing.assert_array_equal(_bits(hanger.residuals(p)),
+                                          _bits(_residuals(p, f, data)))
+            np.testing.assert_array_equal(_bits(hanger.model(p)),
+                                          _bits(hanger_model(p, f)))
+
+    def test_hanger_s21_is_the_evaluator_model(self):
+        f = np.linspace(5.0 - 5 * KAPPA, 5.0 + 5 * KAPPA, 201)
+        p = BASE.as_array()
+        np.testing.assert_array_equal(_bits(hanger_s21(BASE, f)), _bits(hanger_model(p, f)))
+        assert hanger_s21(BASE, 5.0) == complex(hanger_model(p, np.asarray(5.0)))
+
+    def test_results_do_not_depend_on_call_order(self):
+        (p1, f, data), (p2, _, _) = _hanger_cases()[:2]
+        want = {}
+        for p in (p1, p2):
+            hanger = Hanger(f, data)
+            want[p.tobytes()] = hanger.residuals(p).copy(), hanger.jacobian(p).copy()
+        orders = [[(p1, "jac"), (p1, "res")],
+                  [(p1, "res"), (p1, "jac")],
+                  [(p1, "res"), (p2, "jac"), (p1, "jac"), (p2, "res"), (p1, "res")]]
+        for order in orders:
+            hanger = Hanger(f, data)
+            for p, which in order:
+                res, jac = want[p.tobytes()]
+                if which == "res":
+                    np.testing.assert_array_equal(_bits(hanger.residuals(p)), _bits(res))
+                else:
+                    np.testing.assert_array_equal(_bits(hanger.jacobian(p)), _bits(jac))
+
+    def test_repeat_call_returns_the_stored_result(self):
+        # keyed on the bytes of p, not on the array object
+        p, f, data = _hanger_cases()[0]
+        hanger = Hanger(f, data)
+        res, jac = hanger.residuals(p), hanger.jacobian(p)
+        assert hanger.residuals(p.copy()) is res and hanger.jacobian(p.copy()) is jac
+        q = p.copy()
+        q[0] = np.nextafter(q[0], np.inf)
+        assert hanger.residuals(q) is not res
+
+    def test_returned_arrays_never_change(self):
+        # least_squares keeps the residual of a rejected step's start point
+        (p1, f, data), (p2, _, _) = _hanger_cases()[:2]
+        hanger = Hanger(f, data)
+        res, jac, model = hanger.residuals(p1), hanger.jacobian(p1), hanger.model(p1)
+        kept = res.copy(), jac.copy(), model.copy()
+        hanger.jacobian(p2)
+        hanger.residuals(p2)
+        for a, b in zip((res, jac, model), kept):
+            np.testing.assert_array_equal(_bits(a), _bits(b))
 
 
 class TestTlsS21:
