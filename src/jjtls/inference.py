@@ -100,16 +100,22 @@ def likelihood_vector(n_m: int, n_bins: int, rates: DetectorRates) -> np.ndarray
     return np.exp(logsumexp(lt, axis=1))
 
 
-def _log_truncated_poisson(lam: float, n_bins: int) -> np.ndarray:
-    """Log pmf of Poisson(lam) truncated and renormalized to [0, B]."""
+def _poisson_terms(n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """The counts k = 0..B and log k!, the rate-free terms of the prior's log pmf."""
     k = np.arange(n_bins + 1)
-    logw = xlogy(k, lam) - gammaln(k + 1)
-    return logw - logsumexp(logw)
+    return k, gammaln(k + 1)
 
 
-def _marginal(lam: float, lvec: np.ndarray) -> float:
+def _log_truncated_poisson(lam, k: np.ndarray, log_kfact: np.ndarray) -> np.ndarray:
+    """Log pmf of Poisson(lam) truncated and renormalized to the counts k;
+    a column of rates (L, 1) gives one row per rate."""
+    logw = xlogy(k, lam) - log_kfact
+    return logw - logsumexp(logw, axis=-1, keepdims=True)
+
+
+def _marginal(lam: float, lvec: np.ndarray, k: np.ndarray, log_kfact: np.ndarray) -> float:
     """P(n_m | lambda) given the count likelihood vector over n_t."""
-    return float(np.dot(np.exp(_log_truncated_poisson(lam, lvec.size - 1)), lvec))
+    return float(np.dot(np.exp(_log_truncated_poisson(lam, k, log_kfact)), lvec))
 
 
 def marginal_likelihood(n_m: int, n_bins: int, rates: DetectorRates,
@@ -117,13 +123,14 @@ def marginal_likelihood(n_m: int, n_bins: int, rates: DetectorRates,
     """P(n_m | lambda) under the truncated Poisson prior on n_t.
 
     ``lam`` is one rate (returns a float) or a 1-d array of rates (returns
-    an array); the count likelihood is built once either way.
+    an array); the count likelihood is built once, and every rate's prior
+    is one row of a single (rates, B + 1) block.
     """
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     if np.any(lams < 0):
         raise ValidationError(f"lambda must be >= 0, got {lam}")
     lvec = likelihood_vector(n_m, n_bins, rates)
-    out = np.array([_marginal(g, lvec) for g in lams])
+    out = np.exp(_log_truncated_poisson(lams[:, None], *_poisson_terms(n_bins))) @ lvec
     return float(out[0]) if np.ndim(lam) == 0 else out
 
 
@@ -134,24 +141,27 @@ def mle_lambda(n_m: int, n_bins: int, rates: DetectorRates,
                *, rel_tol: float = 1e-6) -> float:
     """Golden-section maximizer of the marginal likelihood on [0, B]."""
     InferenceInput(n_detected=n_m, n_bins=n_bins, rates=rates)
-    return _golden_lambda(likelihood_vector(n_m, n_bins, rates), rel_tol)
+    return _golden_lambda(likelihood_vector(n_m, n_bins, rates), *_poisson_terms(n_bins),
+                          rel_tol)
 
 
-def _golden_lambda(lvec: np.ndarray, rel_tol: float = 1e-6) -> float:
-    """Golden-section maximizer on [0, B] given the count likelihood vector."""
+def _golden_lambda(lvec: np.ndarray, k: np.ndarray, log_kfact: np.ndarray,
+                   rel_tol: float = 1e-6) -> float:
+    """Golden-section maximizer on [0, B] given the count likelihood vector
+    and the prior's rate-free terms from :func:`_poisson_terms`."""
     a, b = 0.0, float(lvec.size - 1)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = _marginal(c, lvec), _marginal(d, lvec)
+    fc, fd = _marginal(c, lvec, k, log_kfact), _marginal(d, lvec, k, log_kfact)
     while b - a > rel_tol * max(1.0, b):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = _marginal(c, lvec)
+            fc = _marginal(c, lvec, k, log_kfact)
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = _marginal(d, lvec)
+            fd = _marginal(d, lvec, k, log_kfact)
     return 0.5 * (a + b)
 
 
@@ -201,14 +211,15 @@ def _interpolated_ci(pmf: np.ndarray, mass_lo: float = _Q_LO,
 def posterior(inp: InferenceInput) -> PosteriorDensity:
     """Posterior over n_t: likelihood times truncated Poisson(lambda*)."""
     lvec = likelihood_vector(inp.n_detected, inp.n_bins, inp.rates)
-    lam = _golden_lambda(lvec)
-    raw = np.exp(_log_truncated_poisson(lam, inp.n_bins)) * lvec
+    k, log_kfact = _poisson_terms(inp.n_bins)
+    lam = _golden_lambda(lvec, k, log_kfact)
+    raw = np.exp(_log_truncated_poisson(lam, k, log_kfact)) * lvec
     total = float(raw.sum())
     if total <= 0 or not math.isfinite(total):
         raise NumericalError(
             "posterior mass vanished; detector rates inconsistent with data")
     pmf = raw / total
-    mean = float(np.dot(np.arange(inp.n_bins + 1), pmf))
+    mean = float(np.dot(k, pmf))
     peak = int(np.argmax(pmf))
     if pmf[peak] >= 1.0 - 1e-9:
         ci = (float(peak), float(peak))

@@ -236,6 +236,12 @@ def tls_s21(params: ResonatorParams, tls: TLSDefect, f) -> np.ndarray | complex:
     params.validate()
     tls.validate()
     farr = np.asarray(f, dtype=float)
+    out = _tls_model(params, tls, farr)
+    return out if farr.ndim else complex(out)
+
+
+def _tls_model(params: ResonatorParams, tls: TLSDefect, farr: np.ndarray) -> np.ndarray:
+    """:func:`tls_s21` on the array ``farr``, its parameters unvalidated."""
     w = 2.0 * math.pi * farr
     w_r = 2.0 * math.pi * params.f_r
     w_t = 2.0 * math.pi * tls.f_tls
@@ -250,8 +256,7 @@ def tls_s21(params: ResonatorParams, tls: TLSDefect, f) -> np.ndarray | complex:
 
     _, bg, E = _background(farr, params.f_r, params.A, params.alpha, params.phi_v,
                            params.phi_0)
-    out = bg * dip * E
-    return out if farr.ndim else complex(out)
+    return bg * dip * E
 
 
 def flux_to_freq(cfg: FluxConfig, flux):
@@ -260,6 +265,11 @@ def flux_to_freq(cfg: FluxConfig, flux):
     f_bare / sqrt(1 + (1/2) u^2) with u = (2 pi / N) (flux - m).
     """
     cfg.validate()
+    return _tuned_freq(cfg, flux)
+
+
+def _tuned_freq(cfg: FluxConfig, flux):
+    """:func:`flux_to_freq` on a flux map already validated."""
     phi = np.asarray(flux, dtype=float)
     u = (2.0 * math.pi / cfg.n_islands) * (phi - cfg.m_trapped)
     out = cfg.f_bare / np.sqrt(1.0 + 0.5 * u**2)
@@ -341,10 +351,20 @@ def synth_trace(params: ResonatorParams, defects, freq_grid, noise_sigma: float,
     if grid.size == 0:
         raise ValidationError("frequency grid is empty")
     tls = _nearest_defect(params, defects)
+    params.validate()
+    if tls is not None:
+        tls.validate()
+    return _synth(params, tls, grid, noise_sigma, rng, bias_current)
+
+
+def _synth(params: ResonatorParams, tls: TLSDefect | None, grid: np.ndarray,
+           noise_sigma: float, rng: np.random.Generator, bias_current: float) -> Trace:
+    """:func:`synth_trace` with the coupled defect ``tls`` (or None) already
+    chosen, its parameters unvalidated."""
     if tls is None:
-        model = hanger_s21(params, grid)
+        model = Hanger(grid).model(params.as_array())
     else:
-        model = tls_s21(params, tls, grid)
+        model = _tls_model(params, tls, grid)
     if noise_sigma > 0:
         noise = rng.normal(0.0, noise_sigma, grid.size) \
             + 1j * rng.normal(0.0, noise_sigma, grid.size)
@@ -365,28 +385,36 @@ def virtual_measure(scenario: Scenario, bias_current: float, f_center: float | N
     tuned resonance are candidates for coupling.  f_center=None centers
     the sweep on the tuned resonance.  Deterministic per (seed, bias).
     """
-    scenario.validate()
+    return _measure(scenario.validate(), bias_current, f_center, span, n_points)
+
+
+def _measure(scenario: Scenario, bias_current: float, f_center: float | None,
+             span: float, n_points: int) -> Trace:
+    """:func:`virtual_measure` on a scenario already validated."""
     if span <= 0:
         raise ValidationError(f"span must be positive, got {span}")
     if n_points < 16:
         raise ValidationError(f"n_points must be >= 16, got {n_points}")
-    f0 = flux_to_freq(scenario.flux, bias_current * scenario.flux.flux_per_current)
+    f0 = _tuned_freq(scenario.flux, bias_current * scenario.flux.flux_per_current)
     params = replace(scenario.resonator, f_r=f0)
+    if not 0.0 < f0 < math.inf:
+        params.validate()  # only a non-finite bias tunes f_r out of range; this raises
     if f_center is None:
         f_center = f0
     grid = np.linspace(f_center - span / 2.0, f_center + span / 2.0, int(n_points))
     nearby = [d for d in scenario.defects if abs(d.f_tls - f0) <= span / 2.0]
     rng = np.random.default_rng([scenario.rng_seed, RNG_MEASURE, _bias_bits(bias_current)])
-    return synth_trace(params, nearby, grid, scenario.noise_sigma, rng,
-                       bias_current=bias_current)
+    return _synth(params, _nearest_defect(params, nearby), grid, scenario.noise_sigma, rng,
+                  bias_current)
 
 
 def scenario_instrument(scenario: Scenario):
-    """Closure with the call signature expected by the sweep orchestrator."""
+    """Closure with the call signature expected by the sweep orchestrator; the
+    scenario is validated here, once, and not again per measurement."""
     scenario.validate()
 
     def instrument(bias_current: float, f_center: float | None,
                    span: float, n_points: int) -> Trace:
-        return virtual_measure(scenario, bias_current, f_center, span, n_points)
+        return _measure(scenario, bias_current, f_center, span, n_points)
 
     return instrument

@@ -17,6 +17,7 @@ RIDGE_ALPHA_GRID = tuple(10.0 ** k for k in range(-3, 4))
 CLUSTER_TIE_TOL = 0.01    # LOOCV R^2 band within which cuts count as ties
 GAMMA_MAX_ITER = 200      # gamma MLE Newton steps
 GAMMA_TOL = 1e-12         # gamma MLE relative step tolerance
+LOO_BLOCK = 2 ** 16       # training-row floats per block of LOOCV folds (bounds peak memory)
 
 
 # ---------------------------------------------------------------------------
@@ -152,23 +153,29 @@ def _ridge_loocv_predictions(X: np.ndarray, y: np.ndarray, alphas) -> np.ndarray
     """Honest LOOCV: standardization and fit are redone per fold, with one solve
     per fold for every design in the stack X (..., n, k) and every alpha; a
     column constant over a fold's training rows scores z = 0 in that fold.
+    Folds run in blocks of at most LOO_BLOCK training-row floats; each fold
+    keeps the arithmetic, and the sum order, of a fold run on its own.
     Returns the held-out predictions, shape (..., len(alphas), n)."""
     n, k = X.shape[-2:]
     ridge = alphas[:, None, None] * np.eye(k)
     preds = np.empty(X.shape[:-2] + (ridge.shape[0], n))
-    for i in range(n):
-        mask = np.arange(n) != i
-        Xt, yt = X[..., mask, :], y[mask]  # C order for any layout of X: fixed sum order
+    j = np.arange(n - 1)
+    train = j + (j >= np.arange(n)[:, None])  # (n, n-1): the rows each fold trains on
+    step = max(1, LOO_BLOCK // max(1, X.size // n * (n - 1)))  # folds per block
+    for start in range(0, n, step):
+        held = slice(start, start + step)
+        Xt, yt = X[..., train[held], :], y[train[held]]  # (..., f, n-1, k), (f, n-1)
         mu = Xt.mean(axis=-2, keepdims=True)
-        sd = Xt.std(axis=-2, keepdims=True)
+        d = Xt - mu
+        sd = np.sqrt(np.add.reduce(d * d, axis=-2, keepdims=True) / (n - 1))  # np.std's steps
         varying = np.ptp(Xt, axis=-2, keepdims=True) > 0
-        Z = np.divide(Xt - mu, sd, out=np.zeros_like(Xt), where=varying)
-        zi = np.divide(X[..., i:i + 1, :] - mu, sd, out=np.zeros_like(mu), where=varying)
-        ym = yt.mean()
+        Z = np.divide(d, sd, out=np.zeros_like(d), where=varying)
+        zi = np.divide(X[..., held, None, :] - mu, sd, out=np.zeros_like(mu), where=varying)
+        ym = yt.mean(axis=-1, keepdims=True)
         Zt = np.swapaxes(Z, -1, -2)
         w = np.linalg.solve((Zt @ Z)[..., None, :, :] + ridge,
-                            (Zt @ (yt - ym))[..., None, :, None])
-        preds[..., i] = ym + (zi[..., None, :, :] @ w)[..., 0, 0]
+                            (Zt @ (yt - ym)[..., None])[..., None, :, :])
+        preds[..., held] = np.swapaxes(ym + (zi[..., None, :, :] @ w)[..., 0, 0], -1, -2)
     return preds
 
 

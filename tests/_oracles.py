@@ -301,3 +301,29 @@ def permutation_importance_loop(X: np.ndarray, y: np.ndarray, alpha: float,
             drops[rep] = base - ridge_loocv_r2_loop(Xp, y, alpha)
         out.append((float(drops.mean()), float(drops.std(ddof=1))))
     return out
+
+
+def ridge_loocv_predictions_fold_loop(X: np.ndarray, y: np.ndarray, alphas) -> np.ndarray:
+    """One fold per loop iteration, the reference for the package's fold blocks.
+
+    Honest LOOCV: standardization and fit are redone per fold, with one solve
+    per fold for every design in the stack X (..., n, k) and every alpha; a
+    column constant over a fold's training rows scores z = 0 in that fold.
+    Returns the held-out predictions, shape (..., len(alphas), n)."""
+    n, k = X.shape[-2:]
+    ridge = alphas[:, None, None] * np.eye(k)
+    preds = np.empty(X.shape[:-2] + (ridge.shape[0], n))
+    for i in range(n):
+        mask = np.arange(n) != i
+        Xt, yt = X[..., mask, :], y[mask]  # C order for any layout of X: fixed sum order
+        mu = Xt.mean(axis=-2, keepdims=True)
+        sd = Xt.std(axis=-2, keepdims=True)
+        varying = np.ptp(Xt, axis=-2, keepdims=True) > 0
+        Z = np.divide(Xt - mu, sd, out=np.zeros_like(Xt), where=varying)
+        zi = np.divide(X[..., i:i + 1, :] - mu, sd, out=np.zeros_like(mu), where=varying)
+        ym = yt.mean()
+        Zt = np.swapaxes(Z, -1, -2)
+        w = np.linalg.solve((Zt @ Z)[..., None, :, :] + ridge,
+                            (Zt @ (yt - ym))[..., None, :, None])
+        preds[..., i] = ym + (zi[..., None, :, :] @ w)[..., 0, 0]
+    return preds

@@ -5,8 +5,8 @@ import pytest
 
 from _oracles import enumerate_detection_pmf, forward_detections, mc_peak_rates
 from jjtls.errors import ValidationError
-from jjtls.inference import (DensityEstimate, DetectorRates, InferenceInput,
-                             aggregate_device, density, likelihood_vector,
+from jjtls.inference import (DensityEstimate, DetectorRates, InferenceInput, _marginal,
+                             _poisson_terms, aggregate_device, density, likelihood_vector,
                              marginal_likelihood, mle_lambda, posterior,
                              true_rates)
 
@@ -151,6 +151,18 @@ class TestMarginalLikelihood:
         lams = np.array([0.0, 0.7, 4.2, 30.0])
         got = marginal_likelihood(3, 60, self.R, lams)
         want = [marginal_likelihood(3, 60, self.R, float(g)) for g in lams]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_plot_grid_matches_scalar_path(self):
+        # infer's plot grid at B = 1000, against the golden-section search's
+        # one-rate-at-a-time marginal
+        B, n_m = 1000, 57
+        lams = np.linspace(0.0, 3.0 * n_m, 121)
+        got = marginal_likelihood(n_m, B, self.R, lams)
+        lvec = likelihood_vector(n_m, B, self.R)
+        terms = _poisson_terms(B)
+        want = [_marginal(float(g), lvec, *terms) for g in lams]
+        assert lams[0] == 0.0 and got.shape == (121,)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
     def test_negative_rate_in_array_rejected(self):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from jjtls.constants import BOLTZMANN_K, GHZ, HBAR
 from jjtls.errors import InvalidParameterError, ValidationError
-from jjtls.physics import (PARAM_NAMES, FluxConfig, Hanger, ResonatorParams, Scenario,
-                           TLSDefect, Trace, flux_to_freq, hanger_s21,
+from jjtls.physics import (PARAM_NAMES, RNG_MEASURE, FluxConfig, Hanger, ResonatorParams,
+                           Scenario, TLSDefect, Trace, _bias_bits, flux_to_freq, hanger_s21,
                            scenario_instrument, synth_trace, thermal_population,
                            tls_s21, virtual_measure)
 
@@ -349,3 +349,42 @@ class TestVirtualMeasure:
         inst = scenario_instrument(sc)
         tr = inst(3.0, None, 0.01, 64)
         assert len(tr) == 64
+
+    @pytest.mark.parametrize("defects", [
+        (), (TLSDefect(f_tls=5.0 - KAPPA, g=KAPPA, gamma=KAPPA),)])
+    def test_closure_equals_virtual_measure(self, defects):
+        sc = _demo_scenario(defects)
+        inst = scenario_instrument(sc)
+        for bias, f_center in ((0.0, None), (3.0, 5.0), (40.0, None)):
+            a = inst(bias, f_center, 10 * KAPPA, 201)
+            b = virtual_measure(sc, bias, f_center, 10 * KAPPA, 201)
+            # the same sweep built from the validating public functions
+            f0 = flux_to_freq(sc.flux, bias * sc.flux.flux_per_current)
+            fc = f0 if f_center is None else f_center
+            grid = np.linspace(fc - 5 * KAPPA, fc + 5 * KAPPA, 201)
+            near = [d for d in defects if abs(d.f_tls - f0) <= 5 * KAPPA]
+            rng = np.random.default_rng([sc.rng_seed, RNG_MEASURE, _bias_bits(bias)])
+            c = synth_trace(ResonatorParams(f_r=f0, Q_l=5000.0, Q_e_mag=10000.0), near, grid,
+                            sc.noise_sigma, rng, bias_current=bias)
+            for tr in (b, c):
+                assert np.array_equal(a.freqs, tr.freqs)
+                assert np.array_equal(a.s21, tr.s21)
+                assert a.bias_current == tr.bias_current
+        # the defect sits one linewidth below the bare resonance: in span at zero bias
+        assert bool(defects) == (not np.array_equal(
+            inst(0.0, None, 10 * KAPPA, 201).s21,
+            scenario_instrument(_demo_scenario())(0.0, None, 10 * KAPPA, 201).s21))
+
+    def test_invalid_scenario_raises_at_instrument(self):
+        d1 = TLSDefect(f_tls=4.999, g=KAPPA, gamma=KAPPA)
+        d2 = TLSDefect(f_tls=4.999 + KAPPA / 8, g=KAPPA, gamma=KAPPA)
+        with pytest.raises(InvalidParameterError):
+            scenario_instrument(_demo_scenario([d1, d2]))
+        with pytest.raises(InvalidParameterError):
+            scenario_instrument(_demo_scenario(noise=-1.0))
+
+    @pytest.mark.parametrize("bias", [float("nan"), float("inf")])
+    def test_non_finite_bias_raises(self, bias):
+        inst = scenario_instrument(_demo_scenario())
+        with pytest.raises(InvalidParameterError):
+            inst(bias, 5.0, 10 * KAPPA, 201)

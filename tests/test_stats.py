@@ -5,10 +5,11 @@ import pytest
 from scipy.special import ndtri
 
 from _oracles import (permutation_importance_loop, ridge_loocv_predictions_dropping_flat,
-                      ridge_loocv_predictions_loop, ridge_loocv_r2_loop)
+                      ridge_loocv_predictions_fold_loop, ridge_loocv_predictions_loop,
+                      ridge_loocv_r2_loop)
 from jjtls.errors import DegenerateDataError, ValidationError
-from jjtls.stats import (RIDGE_ALPHA_GRID, _ridge_loocv_predictions, cluster_features,
-                         gamma_fit, kruskal_wallis, pearson, ridge_loocv_r2,
+from jjtls.stats import (LOO_BLOCK, RIDGE_ALPHA_GRID, _ridge_loocv_predictions,
+                         cluster_features, gamma_fit, kruskal_wallis, pearson, ridge_loocv_r2,
                          ridge_permutation_importance, shapiro_wilk, spearman)
 
 # Reference (W, p) values from the AS R94 reference implementation
@@ -421,3 +422,42 @@ class TestRidgeLoocv:
         for (mean, std), (want_mean, want_std) in zip(rep.importances.values(), want):
             assert mean == pytest.approx(want_mean, rel=1e-12, abs=1e-15)
             assert std == pytest.approx(want_std, rel=1e-12, abs=1e-15)
+
+
+class TestFoldBlocks:
+    """Folds gathered in blocks give the one-fold-per-iteration loop's
+    predictions bit for bit, whatever the number of folds per block."""
+
+    ALPHAS = np.array(RIDGE_ALPHA_GRID)
+
+    @pytest.mark.parametrize("shape, blocks", [
+        ((60, 8), 1),            # a survey-sized design: one block
+        ((12, 8), 1),            # the fixture's design size
+        ((3, 100, 60, 3), 60),   # a permutation stack: one fold per block
+        ((5, 50, 10), 2),        # the last block holds fewer folds
+    ])
+    def test_equal_to_fold_loop(self, shape, blocks):
+        *stack, n, k = shape
+        step = max(1, LOO_BLOCK // (math.prod(stack) * (n - 1) * k))
+        assert -(-n // step) == blocks
+        rng = np.random.default_rng(n + k)
+        X = rng.standard_normal(shape)
+        y = X[(0,) * len(stack)] @ rng.standard_normal(k) + 0.5 * rng.standard_normal(n)
+        got = _ridge_loocv_predictions(X, y, self.ALPHAS)
+        assert np.array_equal(got, ridge_loocv_predictions_fold_loop(X, y, self.ALPHAS))
+
+    @pytest.mark.parametrize("shape", [(10, 0), (0, 10, 0), (0, 10, 3)])
+    def test_empty_design_equal_to_fold_loop(self, shape):
+        X, y = np.zeros(shape), np.arange(10.0)
+        got = _ridge_loocv_predictions(X, y, self.ALPHAS)
+        assert np.array_equal(got, ridge_loocv_predictions_fold_loop(X, y, self.ALPHAS))
+
+    @pytest.mark.parametrize("value", [0.34, 55.3])
+    def test_fold_constant_column_equal_to_fold_loop(self, value):
+        rng = np.random.default_rng(14)
+        X = rng.standard_normal((20, 3))
+        X[:, 1] = value
+        X[5, 1] = 2.0 * value
+        y = X[:, 0] - X[:, 2] + 0.1 * rng.standard_normal(20)
+        got = _ridge_loocv_predictions(X, y, self.ALPHAS)
+        assert np.array_equal(got, ridge_loocv_predictions_fold_loop(X, y, self.ALPHAS))
