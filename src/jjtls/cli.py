@@ -13,9 +13,6 @@ import sys
 from pathlib import Path
 
 from .errors import NumericalError, ValidationError
-from .fileio import schema_text
-from .pipeline import (cmd_correlate, cmd_detect, cmd_infer, cmd_report,
-                       cmd_simulate, load_pipeline_config)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -55,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--morphology", type=Path, help="per-device morphology CSV")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=100,
-                   help="permutation importance repeats")
+                   help="permutation importance repeats (>= 2)")
     _add_common(p)
 
     p = subs.add_parser("report", help="consolidate stage manifests")
@@ -66,17 +63,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> dict:
-    if args.config is None:
-        raise ValidationError("--config is required")
-    cfg = load_pipeline_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = int(args.seed)
-    return cfg
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # imported once parsed, so --help and usage errors load no numpy; each cmd_*
+    # imports the scipy-backed modules it runs
+    from .fileio import schema_text
+    from .pipeline import (cmd_correlate, cmd_detect, cmd_infer, cmd_report,
+                           cmd_simulate, load_pipeline_config)
     try:
         if args.command == "schema":
             print(schema_text(args.name), flush=True)
@@ -106,9 +99,13 @@ def main(argv=None) -> int:
 
         if args.outdir is None:
             raise ValidationError("--outdir is required")
-        cfg = _load_config(args)
-        args.outdir.mkdir(parents=True, exist_ok=True)
+        if args.config is None:
+            raise ValidationError("--config is required")
+        cfg = load_pipeline_config(args.config)
+        if getattr(args, "seed", None) is not None:
+            cfg["seed"] = int(args.seed)
         if args.command == "simulate":
+            args.outdir.mkdir(parents=True, exist_ok=True)
             out = cmd_simulate(cfg, args.outdir)
         elif args.command == "detect":
             out = cmd_detect(cfg, args.outdir)

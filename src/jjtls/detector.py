@@ -19,6 +19,7 @@ from scipy.special import ndtr
 
 from .errors import (CalibrationError, ConvergenceError, DegenerateDataError,
                      NoResonanceError, ValidationError)
+from .fileio import DetectorCalibration
 from .fitting import (FAILED_FIT, FitResult, _metric, fit_flux_parabola, fit_hanger,
                       savgol)
 from .physics import (RNG_CAL_NOISE, RNG_THRESHOLD, Hanger, ResonatorParams, Trace,
@@ -134,24 +135,6 @@ class ResidualSeries:
 
     def __len__(self) -> int:
         return int(self.shift_axis.size)
-
-
-@dataclass(frozen=True)
-class DetectorCalibration:
-    """Threshold and error rates calibrated from synthetic ensembles."""
-
-    threshold: float
-    fp: float
-    fn: float
-    noise_sigma: float
-    gauss_noise: tuple[float, float]   # (mean, std) of noise-only residuals
-    gauss_tls: tuple[float, float]     # (mean, std) of TLS-coupled residuals
-
-    def __post_init__(self):
-        if not (0.0 <= self.fp <= 1.0 and 0.0 <= self.fn <= 1.0):
-            raise ValidationError("fp and fn must lie in [0, 1]")
-        if not (self.gauss_noise[0] < self.threshold < self.gauss_tls[0]):
-            raise ValidationError("threshold must lie between the two residual means")
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detector import DetectorCalibration
-from .errors import SchemaError
+from .errors import SchemaError, ValidationError
 from .physics import FluxConfig, ResonatorParams, Scenario, TLSDefect, Trace
 
 
@@ -340,6 +339,24 @@ def trace_from_csv(path: Path) -> Trace:
     bias, freqs, re, im = zip(*read_csv(path, "trace"))
     return Trace(freqs=np.array(freqs), s21=np.array(re) + 1j * np.array(im),
                  bias_current=bias[0])
+
+
+@dataclass(frozen=True)
+class DetectorCalibration:
+    """Threshold and error rates calibrated from synthetic ensembles."""
+
+    threshold: float
+    fp: float
+    fn: float
+    noise_sigma: float
+    gauss_noise: tuple[float, float]   # (mean, std) of noise-only residuals
+    gauss_tls: tuple[float, float]     # (mean, std) of TLS-coupled residuals
+
+    def __post_init__(self):
+        if not (0.0 <= self.fp <= 1.0 and 0.0 <= self.fn <= 1.0):
+            raise ValidationError("fp and fn must lie in [0, 1]")
+        if not (self.gauss_noise[0] < self.threshold < self.gauss_tls[0]):
+            raise ValidationError("threshold must lie between the two residual means")
 
 
 def calibration_from_dict(raw: dict) -> DetectorCalibration:

@@ -14,20 +14,13 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammainc
 
-from .detector import (SweepDataset, apply_exclusions, build_threshold,
-                       calibrate_noise, count_sweep, curve_follow, fit_next)
 from .errors import CalibrationError, JJTLSError, SchemaError
 from .fileio import (SCHEMAS, calibration_from_dict, load_scenario,
                      read_densities_csv, read_json, read_morphology_csv,
                      read_record, run_path, sweep_plan, trace_from_csv,
                      trace_rows, write_csv, write_record, write_text)
-from .inference import (DensityEstimate, InferenceInput, aggregate_device,
-                        density, marginal_likelihood, posterior, true_rates)
 from .manifest import write_manifest
-from .physics import ResonatorParams, scenario_instrument
-from .svgplot import Panel, render
 
 
 def load_pipeline_config(path: Path) -> dict:
@@ -71,6 +64,8 @@ def _resolve(cfg: dict, maybe_path: str) -> Path:
 
 def cmd_simulate(cfg: dict, outdir: Path) -> dict:
     """Drive the virtual instrument along the bias plan; write trace CSVs."""
+    from .detector import curve_follow
+    from .physics import scenario_instrument
     clock = _Clock()
     outdir = Path(outdir)
     scenario = load_scenario(_resolve(cfg, cfg["scenario"]))
@@ -93,6 +88,10 @@ def cmd_simulate(cfg: dict, outdir: Path) -> dict:
 
 def cmd_detect(cfg: dict, outdir: Path) -> dict:
     """Fit traces in bias order, calibrate the detector, and emit the detected events."""
+    from .detector import (SweepDataset, apply_exclusions, build_threshold,
+                           calibrate_noise, count_sweep, fit_next)
+    from .physics import ResonatorParams
+    from .svgplot import Panel, render
     clock = _Clock()
     outdir = Path(outdir)
     trace_files = sorted(outdir.glob(SCHEMAS["trace"].path))
@@ -189,6 +188,8 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
 
 def cmd_infer(cfg: dict, outdir: Path) -> dict:
     """Convert detections into a posterior TLS count and density estimate."""
+    from .inference import InferenceInput, density, marginal_likelihood, posterior, true_rates
+    from .svgplot import Panel, render
     clock = _Clock()
     outdir = Path(outdir)
     with clock.phase("load"):
@@ -246,10 +247,12 @@ def cmd_infer(cfg: dict, outdir: Path) -> dict:
 def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
                   *, seed: int = 0, repeats: int = 100) -> dict:
     """Treatment statistics and morphology correlation reports."""
-    # only correlate needs scipy.stats; importing it here keeps it out of `import jjtls`
+    from scipy.special import gammainc
+
+    from .inference import DensityEstimate, aggregate_device
     from .stats import (cluster_features, gamma_fit, kruskal_wallis, pearson,
                         ridge_permutation_importance, shapiro_wilk, spearman)
-
+    from .svgplot import Panel, render
     clock = _Clock()
     outdir = Path(outdir)
     with clock.phase("load"):

@@ -301,7 +301,7 @@ def ridge_permutation_importance(features, target, *, alpha: float | None = None
     """Mean LOOCV-R^2 drop when one feature column is shuffled.
 
     Columns are shuffled ``repeats`` times each with a seeded generator;
-    importances are (mean drop, std of drops).
+    importances are (mean drop, sample std of drops), so ``repeats`` >= 2.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(target, dtype=float)
@@ -313,8 +313,8 @@ def ridge_permutation_importance(features, target, *, alpha: float | None = None
     feature_names = tuple(feature_names)
     if len(feature_names) != k:
         raise ValidationError("feature_names length mismatch")
-    if repeats < 1:
-        raise ValidationError("repeats must be >= 1")
+    if repeats < 2:
+        raise ValidationError(f"repeats must be >= 2 for a std of the drops, got {repeats}")
 
     a = alpha if alpha is not None else _select_alpha(X, y)[0]
     base = float(ridge_loocv_r2(X, y, a))

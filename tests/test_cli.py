@@ -153,6 +153,15 @@ class TestDetect:
         assert main(["detect", "--config", str(cfg),
                      "--outdir", str(tmp_path / "empty")]) == 1
 
+    @pytest.mark.parametrize("stage", ["detect", "infer"])
+    def test_missing_run_directory_not_created(self, tmp_path, capsys, stage):
+        # both stages read their inputs from --outdir; a failed run leaves nothing
+        cfg = write_config(tmp_path)
+        assert main([stage, "--config", str(cfg),
+                     "--outdir", str(tmp_path / "missing")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "missing").exists()
+
     def test_corrupt_trace_row_reports_location(self, full_run, tmp_path, capsys):
         _, out = full_run
         broken = tmp_path / "broken"
@@ -300,33 +309,92 @@ class TestInfer:
         assert 1 <= len(calls) <= 2
 
 
-class TestStartup:
-    def test_import_and_infer_leave_statistics_unloaded(self, full_run, tmp_path):
-        # scipy.signal, scipy.stats and scipy.cluster cost most of a fresh
-        # stage's start-up and only correlate needs them
-        import os
-        import subprocess
-        import sys
+def in_fresh_interpreter(code: str):
+    """Run ``code`` in a new interpreter with src/ on the path; it prints JSON last."""
+    import os
+    import subprocess
+    import sys
 
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def stage_loads(argv) -> dict:
+    """Exit code of ``jjtls <argv>`` in a fresh interpreter, and the scipy modules it loaded."""
+    return in_fresh_interpreter(
+        "import contextlib, io, json, sys\n"
+        "import jjtls.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = jjtls.cli.main({[str(a) for a in argv]!r})\n"
+        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "from jjtls.stats import shapiro_wilk  # still importable afterwards\n"
+        "print(json.dumps({'code': code, 'scipy': scipy}))\n")
+
+
+def loaded(modules, prefix: str) -> list:
+    return [m for m in modules if m == prefix or m.startswith(prefix + ".")]
+
+
+class TestStartup:
+    # Each CLI stage is a fresh process, so what it imports is most of what
+    # a user waits for: scipy.optimize alone costs more than infer's work.
+
+    def test_import_loads_neither_numpy_nor_scipy(self):
+        result = in_fresh_interpreter(
+            "import json, sys\n"
+            "import jjtls\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.split('.')[0] in ('numpy', 'scipy'))))\n")
+        assert result == []
+
+    @pytest.mark.parametrize("argv", [["schema"], ["detect", "--schema"], ["report"]],
+                             ids=["schema", "detect --schema", "report"])
+    def test_schema_and_report_load_no_scipy(self, argv, full_run, tmp_path):
+        if argv == ["report"]:
+            shutil.copytree(full_run[1], tmp_path / "run")
+            argv = ["report", "--outdir", tmp_path / "run"]
+        assert stage_loads(argv) == {"code": 0, "scipy": []}
+
+    def test_import_and_infer_leave_statistics_unloaded(self, full_run, tmp_path):
+        # infer needs scipy.special only: no fitter (scipy.optimize) and none
+        # of the statistics that correlate alone runs
         cfg, out = full_run
         run = tmp_path / "run"
         shutil.copytree(out, run)
-        code = (
-            "import json, sys\n"
-            "import jjtls, jjtls.cli\n"
-            f"argv = ['infer', '--config', {str(cfg)!r}, '--outdir', {str(run)!r}]\n"
-            "code = jjtls.cli.main(argv)\n"
-            "heavy = [m for m in ('scipy.signal', 'scipy.stats', 'scipy.cluster')\n"
-            "         if m in sys.modules]\n"
-            "from jjtls.stats import shapiro_wilk\n"
-            "print(json.dumps({'code': code, 'heavy': heavy}))\n")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        result = json.loads(proc.stdout.splitlines()[-1])
-        assert result == {"code": 0, "heavy": []}
+        result = stage_loads(["infer", "--config", cfg, "--outdir", run])
+        assert result["code"] == 0
+        assert loaded(result["scipy"], "scipy.special")
+        for heavy in ("scipy.optimize", "scipy.stats", "scipy.cluster", "scipy.signal"):
+            assert loaded(result["scipy"], heavy) == [], heavy
+
+    def test_lazy_names_resolve_to_their_modules(self):
+        # in a fresh interpreter, so each first access imports its module
+        result = in_fresh_interpreter(
+            "import importlib, json\n"
+            "import jjtls\n"
+            "listed = set(dir(jjtls))\n"
+            "bad = [name for name, module in jjtls._MODULE_OF.items()\n"
+            "       if getattr(jjtls, name) is not\n"
+            "       getattr(importlib.import_module('jjtls.' + module), name)\n"
+            "       or name not in listed]\n"
+            "print(json.dumps({'names': len(jjtls._MODULE_OF), 'bad': bad}))\n")
+        assert result == {"names": 54, "bad": []}   # the names exported before they were lazy
+
+    def test_unknown_attribute_raises(self):
+        result = in_fresh_interpreter(
+            "import json\n"
+            "import jjtls\n"
+            "try:\n"
+            "    jjtls.no_such_name\n"
+            "    raised = None\n"
+            "except AttributeError as exc:\n"
+            "    raised = str(exc)\n"
+            "print(json.dumps(raised))\n")
+        assert result == "module 'jjtls' has no attribute 'no_such_name'"
 
 
 class TestCorrelate:
@@ -346,6 +414,15 @@ class TestCorrelate:
             pvals[(t1, t2)] = float(p)
         assert pvals[("A", "D")] < 0.05
         assert pvals[("A", "B")] > 0.05
+
+    def test_single_repeat_rejected(self, tmp_path, capsys):
+        # one shuffle per feature has no std; the report would hold bare NaN
+        assert main(["correlate", "--densities", str(FIXTURES / "densities.csv"),
+                     "--morphology", str(FIXTURES / "morphology.csv"),
+                     "--outdir", str(tmp_path / "c"), "--repeats", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "repeats" in err
+        assert not (tmp_path / "c" / "correlation_report.json").exists()
 
     def test_single_treatment_notice(self, tmp_path):
         src = (FIXTURES / "densities.csv").read_text().splitlines()

@@ -357,6 +357,13 @@ class TestRidgePermutationImportance:
         with pytest.raises(ValidationError):
             ridge_loocv_r2(X, y, 0.0)
 
+    @pytest.mark.parametrize("repeats", [0, 1])
+    def test_fewer_than_two_repeats_rejected(self, repeats):
+        # the std of one drop is undefined: it would be written as a bare NaN
+        X, y = latent_factor_design(6)
+        with pytest.raises(ValidationError, match="repeats"):
+            ridge_permutation_importance(X, y, alpha=1.0, repeats=repeats)
+
 
 class TestRidgeLoocv:
     def test_matches_naive_refit(self):
