@@ -309,7 +309,7 @@ def load_scenario(path: Path) -> Scenario:
             noise_sigma=float(_require(raw, "noise_sigma", where)),
             rng_seed=int(_require(raw, "rng_seed", where)),
         )
-    except TypeError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{where}: {exc}")
     scenario.validate()
     return scenario

@@ -1,9 +1,8 @@
 """Forward models of flux-tunable JJ-array resonators and TLS coupling.
 
 All frequencies (resonance, TLS transition, coupling g, decay gamma) are
-stored as ordinary frequencies in GHz; angular frequencies are formed
-internally where the coupled-mode expressions require them.  Transmission
-is the dimensionless complex S21 of a hanger-coupled resonator.
+ordinary frequencies in GHz.  Transmission is the dimensionless complex S21
+of a hanger-coupled resonator, evaluated by :class:`Hanger` alone.
 """
 
 from __future__ import annotations
@@ -22,11 +21,13 @@ RNG_MEASURE = 11
 RNG_CAL_NOISE = 12
 RNG_THRESHOLD = 13
 
+_REAL, _INTEGER = (float, int, np.floating, np.integer), (int, np.integer)
+
 
 def _require_finite(**values: float) -> None:
     for name, v in values.items():
-        if not math.isfinite(v):
-            raise InvalidParameterError(f"{name} must be finite, got {v!r}")
+        if not (isinstance(v, _REAL) and math.isfinite(v)):
+            raise InvalidParameterError(f"{name} must be a finite real number, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -134,9 +135,12 @@ class FluxConfig:
 
     def validate(self) -> "FluxConfig":
         _require_finite(f_bare=self.f_bare, flux_per_current=self.flux_per_current)
+        if not (isinstance(self.n_islands, _INTEGER) and isinstance(self.m_trapped, _INTEGER)):
+            raise InvalidParameterError(f"n_islands and m_trapped must be integers, "
+                                        f"got {self.n_islands!r} and {self.m_trapped!r}")
         if self.f_bare <= 0:
             raise InvalidParameterError(f"f_bare must be positive, got {self.f_bare}")
-        if int(self.n_islands) < 1:
+        if self.n_islands < 1:
             raise InvalidParameterError(f"n_islands must be >= 1, got {self.n_islands}")
         return self
 
@@ -159,19 +163,30 @@ def _background(f: np.ndarray, f_r: float, A: float, alpha: float, phi_v: float,
 
 
 class Hanger:
-    """Hanger S21 on the grid ``f`` for the 8-vector p in PARAM_NAMES order:
+    """Hanger S21 on the grid ``f`` for the 8-vector p in PARAM_NAMES order
+    (unvalidated), optionally carrying one coupled TLS ``tls``:
 
-    S21 = A (1 + alpha x) (1 - (Q_l/|Q_e|) e^{i theta} / (1 + 2 i Q_l x))
-          * exp(i (phi_v f + phi_0)),   x = (f - f_r) / f_r,  p unvalidated.
+    S21 = A (1 + alpha x) (1 - (Q_l/|Q_e|) e^{i theta} / D) * exp(i (phi_v f + phi_0)),
+    D = 1 + 2 i Q_l (x + c/f_r),  x = (f - f_r)/f_r,  c = g^2 s_z / (f_tls - f + i s_z gamma/2)
+
+    with s_z = thermal_population(f_tls, T); c is computed once per grid, and is
+    absent without a defect.  It is the defect's weak-drive linear response
+    (Mueller, Cole & Lisenfeld, Rep. Prog. Phys. 82, 124501, 2019) as a detuning
+    shift: the angular-frequency denominator i (omega - omega_r) + omega_r/2Q_l
+    + i g chi, chi = g s_z / (omega_tls - omega + i s_z gamma/2), is D omega_r/2Q_l
+    because g chi / omega_r = c/f_r.  At g = 0, c = 0 and D = 1 + 2 i Q_l x.
 
     The terms are built once for the last p seen (keyed on its bytes) and
     shared by the model, the stacked [real, imag] residual S21 - ``data`` and
     its (8, 2M) Jacobian; a repeat call returns the same array, a new p new ones.
     """
 
-    def __init__(self, f: np.ndarray, data: np.ndarray | None = None):
-        self.f, self.data, self._key = f, data, None
-        self._neg_f, self._jf = -f, 1j * f
+    def __init__(self, f: np.ndarray, data: np.ndarray | None = None,
+                 tls: TLSDefect | None = None):
+        self.f, self.data, self._key, self._c = f, data, None, None
+        if tls is not None:
+            s_z = thermal_population(tls.f_tls, tls.temperature)
+            self._c = tls.g**2 * s_z / (tls.f_tls - f + 0.5j * s_z * tls.gamma)
 
     def _at(self, p: np.ndarray) -> None:
         key = p.tobytes()
@@ -179,7 +194,7 @@ class Hanger:
             return
         f_r, Q_l, Q_e, th, A, al, phi_v, phi_0 = p.tolist()
         x, bg, E = _background(self.f, f_r, A, al, phi_v, phi_0)
-        D = 1.0 + 2j * Q_l * x
+        D = 1.0 + 2j * Q_l * (x if self._c is None else x + self._c / f_r)
         eth = np.exp(1j * th)
         lor = (Q_l / Q_e) * eth / D
         R = 1.0 - lor
@@ -198,65 +213,38 @@ class Hanger:
         return self._res
 
     def jacobian(self, p: np.ndarray) -> np.ndarray:
+        """dS21/dp as [real, imag] rows; a defect adds -c/f_r^2 to d(x + c/f_r)/df_r."""
         self._at(p)
         if self._jac is None:
             f_r, Q_l, Q_e, eth, A, al, x, bg, E, D, lor, R = self._terms
-            S, bgE, dxdfr, dRdx = self._S, bg * E, self._neg_f / f_r**2, lor * 2j * Q_l / D
+            S, bgE, dxdfr, dRdx = self._S, bg * E, self.f / -f_r**2, lor * 2j * Q_l / D
+            dzdfr = dxdfr if self._c is None else dxdfr - self._c / f_r**2
             dS = np.empty((8, S.size), dtype=complex)
-            np.multiply(E, A * al * dxdfr * R + bg * dRdx * dxdfr, out=dS[0])
+            np.multiply(E, A * al * dxdfr * R + bg * dRdx * dzdfr, out=dS[0])
             np.divide(-bgE * (eth / Q_e), D**2, out=dS[1])
             np.divide(bgE * lor, Q_e, out=dS[2])
             np.multiply(-1j * bgE, lor, out=dS[3])
             np.divide(S, A, out=dS[4])
             np.multiply(A * x * R, E, out=dS[5])
-            np.multiply(self._jf, S, out=dS[6])
             np.multiply(1j, S, out=dS[7])
+            np.multiply(dS[7], self.f, out=dS[6])
             self._jac = np.concatenate([dS.real, dS.imag], axis=1)
         return self._jac
 
 
 def hanger_s21(params: ResonatorParams, f) -> np.ndarray | complex:
     """Complex hanger transmission at frequency f [GHz] (see :class:`Hanger`)."""
-    params.validate()
     farr = np.asarray(f, dtype=float)
-    out = Hanger(farr).model(params.as_array())
+    out = Hanger(farr).model(params.validate().as_array())
     return out if farr.ndim else complex(out)
 
 
 def tls_s21(params: ResonatorParams, tls: TLSDefect, f) -> np.ndarray | complex:
-    """Hanger transmission with a coupled TLS.
-
-    The resonance factor is
-        1 - (omega_r / Q_e) / 2 / (i (omega - omega_r) + omega_r / 2 Q_l
-                                   + i g chi(omega))
-        chi(omega) = g <sigma_z> / (omega_tls - omega + i <sigma_z> gamma / 2)
-    with Q_e = |Q_e| exp(-i theta), evaluated in angular frequency, and the
-    same background amplitude and phase factors as :func:`hanger_s21`.
-    """
-    params.validate()
-    tls.validate()
+    """Hanger transmission at frequency f [GHz] with one TLS coupled: :class:`Hanger`
+    with the detuning x shifted by c/f_r; at g = 0, c = 0 and this is :func:`hanger_s21`."""
     farr = np.asarray(f, dtype=float)
-    out = _tls_model(params, tls, farr)
+    out = Hanger(farr, tls=tls.validate()).model(params.validate().as_array())
     return out if farr.ndim else complex(out)
-
-
-def _tls_model(params: ResonatorParams, tls: TLSDefect, farr: np.ndarray) -> np.ndarray:
-    """:func:`tls_s21` on the array ``farr``, its parameters unvalidated."""
-    w = 2.0 * math.pi * farr
-    w_r = 2.0 * math.pi * params.f_r
-    w_t = 2.0 * math.pi * tls.f_tls
-    g_w = 2.0 * math.pi * tls.g
-    gamma_w = 2.0 * math.pi * tls.gamma
-    sz = thermal_population(tls.f_tls, tls.temperature)
-
-    chi = g_w * sz / (w_t - w + 0.5j * sz * gamma_w)
-    inv_qe = np.exp(1j * params.theta) / params.Q_e_mag   # 1 / Q_e
-    dip = 1.0 - 0.5 * w_r * inv_qe / (1j * (w - w_r) + w_r / (2.0 * params.Q_l)
-                                      + 1j * g_w * chi)
-
-    _, bg, E = _background(farr, params.f_r, params.A, params.alpha, params.phi_v,
-                           params.phi_0)
-    return bg * dip * E
 
 
 def flux_to_freq(cfg: FluxConfig, flux):
@@ -265,11 +253,6 @@ def flux_to_freq(cfg: FluxConfig, flux):
     f_bare / sqrt(1 + (1/2) u^2) with u = (2 pi / N) (flux - m).
     """
     cfg.validate()
-    return _tuned_freq(cfg, flux)
-
-
-def _tuned_freq(cfg: FluxConfig, flux):
-    """:func:`flux_to_freq` on a flux map already validated."""
     phi = np.asarray(flux, dtype=float)
     u = (2.0 * math.pi / cfg.n_islands) * (phi - cfg.m_trapped)
     out = cfg.f_bare / np.sqrt(1.0 + 0.5 * u**2)
@@ -328,43 +311,30 @@ class Scenario:
 
 
 def _nearest_defect(params: ResonatorParams, defects) -> TLSDefect | None:
-    """The defect nearest in frequency to the resonance, within 10 kappa."""
+    """The defect nearest in frequency to the resonance, within 10 kappa, validated."""
     best = None
     best_det = 10.0 * params.kappa
     for d in defects:
         det = abs(d.f_tls - params.f_r)
         if det <= best_det:
             best, best_det = d, det
-    return best
+    return best if best is None else best.validate()
 
 
 def synth_trace(params: ResonatorParams, defects, freq_grid, noise_sigma: float,
                 rng: np.random.Generator, *, bias_current: float = 0.0) -> Trace:
     """Noisy synthetic trace on a frequency grid.
 
-    The model is the single-TLS response for the defect nearest to the
-    resonance (within 10 kappa), or the bare hanger if none qualifies.
+    The model is :class:`Hanger` carrying the defect nearest to the resonance
+    (within 10 kappa), or the bare hanger if none qualifies.
     Gaussian noise of std noise_sigma is added independently to both
     quadratures; the draw is deterministic for a given generator state.
     """
     grid = np.asarray(freq_grid, dtype=float)
     if grid.size == 0:
         raise ValidationError("frequency grid is empty")
-    tls = _nearest_defect(params, defects)
-    params.validate()
-    if tls is not None:
-        tls.validate()
-    return _synth(params, tls, grid, noise_sigma, rng, bias_current)
-
-
-def _synth(params: ResonatorParams, tls: TLSDefect | None, grid: np.ndarray,
-           noise_sigma: float, rng: np.random.Generator, bias_current: float) -> Trace:
-    """:func:`synth_trace` with the coupled defect ``tls`` (or None) already
-    chosen, its parameters unvalidated."""
-    if tls is None:
-        model = Hanger(grid).model(params.as_array())
-    else:
-        model = _tls_model(params, tls, grid)
+    tls = _nearest_defect(params.validate(), defects)
+    model = Hanger(grid, tls=tls).model(params.as_array())
     if noise_sigma > 0:
         noise = rng.normal(0.0, noise_sigma, grid.size) \
             + 1j * rng.normal(0.0, noise_sigma, grid.size)
@@ -385,36 +355,26 @@ def virtual_measure(scenario: Scenario, bias_current: float, f_center: float | N
     tuned resonance are candidates for coupling.  f_center=None centers
     the sweep on the tuned resonance.  Deterministic per (seed, bias).
     """
-    return _measure(scenario.validate(), bias_current, f_center, span, n_points)
-
-
-def _measure(scenario: Scenario, bias_current: float, f_center: float | None,
-             span: float, n_points: int) -> Trace:
-    """:func:`virtual_measure` on a scenario already validated."""
-    if span <= 0:
-        raise ValidationError(f"span must be positive, got {span}")
-    if n_points < 16:
-        raise ValidationError(f"n_points must be >= 16, got {n_points}")
-    f0 = _tuned_freq(scenario.flux, bias_current * scenario.flux.flux_per_current)
-    params = replace(scenario.resonator, f_r=f0)
-    if not 0.0 < f0 < math.inf:
-        params.validate()  # only a non-finite bias tunes f_r out of range; this raises
-    if f_center is None:
-        f_center = f0
-    grid = np.linspace(f_center - span / 2.0, f_center + span / 2.0, int(n_points))
-    nearby = [d for d in scenario.defects if abs(d.f_tls - f0) <= span / 2.0]
-    rng = np.random.default_rng([scenario.rng_seed, RNG_MEASURE, _bias_bits(bias_current)])
-    return _synth(params, _nearest_defect(params, nearby), grid, scenario.noise_sigma, rng,
-                  bias_current)
+    return scenario_instrument(scenario)(bias_current, f_center, span, n_points)
 
 
 def scenario_instrument(scenario: Scenario):
-    """Closure with the call signature expected by the sweep orchestrator; the
-    scenario is validated here, once, and not again per measurement."""
+    """:func:`virtual_measure` as a closure with the orchestrator's call signature;
+    the scenario is validated here, once; a measurement checks its tuned resonator."""
     scenario.validate()
 
     def instrument(bias_current: float, f_center: float | None,
                    span: float, n_points: int) -> Trace:
-        return _measure(scenario, bias_current, f_center, span, n_points)
+        if span <= 0:
+            raise ValidationError(f"span must be positive, got {span}")
+        if n_points < 16:
+            raise ValidationError(f"n_points must be >= 16, got {n_points}")
+        f0 = flux_to_freq(scenario.flux, bias_current * scenario.flux.flux_per_current)
+        fc = f0 if f_center is None else f_center
+        grid = np.linspace(fc - span / 2.0, fc + span / 2.0, int(n_points))
+        nearby = [d for d in scenario.defects if abs(d.f_tls - f0) <= span / 2.0]
+        rng = np.random.default_rng([scenario.rng_seed, RNG_MEASURE, _bias_bits(bias_current)])
+        return synth_trace(replace(scenario.resonator, f_r=f0), nearby, grid,
+                           scenario.noise_sigma, rng, bias_current=bias_current)
 
     return instrument

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CalibrationError, JJTLSError, SchemaError
+from .errors import CalibrationError, JJTLSError, SchemaError, ValidationError
 from .fileio import (SCHEMAS, calibration_from_dict, load_scenario,
                      read_densities_csv, read_json, read_morphology_csv,
                      read_record, run_path, sweep_plan, trace_from_csv,
@@ -247,6 +247,8 @@ def cmd_infer(cfg: dict, outdir: Path) -> dict:
 def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
                   *, seed: int = 0, repeats: int = 100) -> dict:
     """Treatment statistics and morphology correlation reports."""
+    if repeats < 2:  # checked before any output is written
+        raise ValidationError(f"repeats must be >= 2 for a std of the drops, got {repeats}")
     from scipy.special import gammainc
 
     from .inference import DensityEstimate, aggregate_device

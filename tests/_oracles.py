@@ -144,6 +144,36 @@ def hanger_jacobian(p: np.ndarray, f: np.ndarray) -> np.ndarray:
     return dS
 
 
+def tls_model(params, tls, farr: np.ndarray) -> np.ndarray:
+    """The TLS-coupled hanger as ``physics`` evaluated it before the defect became
+    a detuning shift inside ``Hanger``, as it was: in angular frequency,
+
+        1 - (omega_r / Q_e) / 2 / (i (omega - omega_r) + omega_r / 2 Q_l
+                                   + i g chi(omega))
+        chi(omega) = g <sigma_z> / (omega_tls - omega + i <sigma_z> gamma / 2)
+
+    with Q_e = |Q_e| exp(-i theta), times the hanger background; unvalidated.
+    """
+    import math
+
+    from jjtls.physics import thermal_population
+
+    w = 2.0 * math.pi * farr
+    w_r = 2.0 * math.pi * params.f_r
+    w_t = 2.0 * math.pi * tls.f_tls
+    g_w = 2.0 * math.pi * tls.g
+    gamma_w = 2.0 * math.pi * tls.gamma
+    sz = thermal_population(tls.f_tls, tls.temperature)
+
+    chi = g_w * sz / (w_t - w + 0.5j * sz * gamma_w)
+    inv_qe = np.exp(1j * params.theta) / params.Q_e_mag   # 1 / Q_e
+    dip = 1.0 - 0.5 * w_r * inv_qe / (1j * (w - w_r) + w_r / (2.0 * params.Q_l)
+                                      + 1j * g_w * chi)
+
+    _, bg, E = _background(params.as_array(), farr)
+    return bg * dip * E
+
+
 def _residuals(p: np.ndarray, f: np.ndarray, data: np.ndarray) -> np.ndarray:
     s = hanger_model(p, f) - data
     return np.concatenate([s.real, s.imag])

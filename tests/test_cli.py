@@ -130,6 +130,22 @@ class TestSimulate:
         assert main(["simulate", "--config", str(p),
                      "--outdir", str(tmp_path / "r")]) == 1
 
+    @pytest.mark.parametrize("field", ['"n_islands": NaN', '"n_islands": Infinity',
+                                       '"n_islands": "100"', '"n_islands": 1.5',
+                                       '"f_r": "5.0"'])
+    def test_malformed_scenario_field_exits_one(self, tmp_path, capsys, field):
+        text = (FIXTURES / "scenario_three_defects.json").read_text()
+        key = field.split(":")[0]
+        lines = [field + "," if line.strip().startswith(key) else line
+                 for line in text.splitlines()]
+        (tmp_path / "bad.json").write_text("\n".join(lines))
+        cfg = write_config(tmp_path, scenario=str(tmp_path / "bad.json"))
+        assert main(["simulate", "--config", str(cfg),
+                     "--outdir", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key.strip('"') in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestDetect:
     def test_three_plant_fixture_three_events(self, full_run):
@@ -422,7 +438,9 @@ class TestCorrelate:
                      "--outdir", str(tmp_path / "c"), "--repeats", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "repeats" in err
-        assert not (tmp_path / "c" / "correlation_report.json").exists()
+        # checked before any output: the out-dir holds no file
+        out = tmp_path / "c"
+        assert not out.exists() or not any(out.rglob("*"))
 
     def test_single_treatment_notice(self, tmp_path):
         src = (FIXTURES / "densities.csv").read_text().splitlines()

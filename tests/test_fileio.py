@@ -1,13 +1,18 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from jjtls.errors import SchemaError
+from jjtls.errors import SchemaError, ValidationError
 from jjtls.fileio import (load_scenario, read_densities_csv, read_morphology_csv,
                           trace_from_csv, trace_rows, write_csv, write_json,
                           write_record)
 from jjtls.manifest import config_hash, sha256_file, write_manifest
 from jjtls.physics import ResonatorParams, synth_trace
 from jjtls.svgplot import Panel, render
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def make_trace():
@@ -73,6 +78,24 @@ class TestScenarioFile:
                        "noise_sigma": 0.0, "rng_seed": 1})
         with pytest.raises(SchemaError):
             load_scenario(p)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("flux", "n_islands", float("nan")), ("flux", "n_islands", float("inf")),
+        ("flux", "n_islands", "100"), ("flux", "n_islands", 1.5),
+        ("flux", "n_islands", 0), ("flux", "m_trapped", 0.5),
+        ("flux", "f_bare", None), ("resonator", "f_r", "5.0"),
+        ("defect", "g", "0.001"), (None, "noise_sigma", "abc"),
+        (None, "rng_seed", float("nan")), (None, "rng_seed", float("inf"))])
+    def test_malformed_field_is_a_validation_error(self, tmp_path, section, key, value):
+        raw = json.loads((FIXTURES / "scenario_three_defects.json").read_text())
+        target = {"flux": raw["flux"], "resonator": raw["resonator"],
+                  "defect": raw["defects"][0], None: raw}[section]
+        target[key] = value
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(raw))  # NaN and Infinity as Python's json writes them
+        with pytest.raises(ValidationError) as info:
+            load_scenario(p)
+        assert "\n" not in str(info.value)
 
 
 class TestCorrelateInputs:

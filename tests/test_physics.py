@@ -14,7 +14,7 @@ from jjtls.physics import (PARAM_NAMES, RNG_MEASURE, FluxConfig, Hanger, Resonat
                            scenario_instrument, synth_trace, thermal_population,
                            tls_s21, virtual_measure)
 
-from _oracles import _jacobian, _residuals, hanger_model
+from _oracles import _jacobian, _residuals, hanger_model, tls_model
 
 BASE = ResonatorParams(f_r=5.0, Q_l=5000.0, Q_e_mag=10000.0)
 KAPPA = BASE.kappa
@@ -66,23 +66,35 @@ class TestHangerS21:
         assert np.max(np.abs(hanger_s21(params, f) - 1.0)) < 1e-6
 
 
+def _assert_jacobian_matches_central_differences(params, tls=None):
+    p, kappa = params.as_array(), params.kappa
+    f = np.linspace(params.f_r - 5 * kappa, params.f_r + 5 * kappa, 201)
+    hanger = Hanger(f, np.zeros(f.size, dtype=complex), tls=tls)
+    jac = hanger.jacobian(p)
+    assert jac.shape == (8, 2 * f.size)
+    for i, name in enumerate(PARAM_NAMES):
+        h = 1e-6 * (kappa if name == "f_r" else max(abs(p[i]), 1.0))
+        step = np.zeros(8)
+        step[i] = h
+        fd = (hanger.residuals(p + step) - hanger.residuals(p - step)) / (2 * h)
+        err = np.max(np.abs(fd - jac[i])) / np.max(np.abs(jac[i]))
+        assert err < 1e-6, f"{name}: relative error {err:.2e}"
+
+
 class TestHangerJacobian:
     def test_matches_central_differences_at_fixture_resonator(self):
         fixture = Path(__file__).resolve().parent.parent / "fixtures"
         raw = json.loads((fixture / "scenario_three_defects.json").read_text())
-        params = ResonatorParams(**raw["resonator"])
-        p, kappa = params.as_array(), params.kappa
-        f = np.linspace(params.f_r - 5 * kappa, params.f_r + 5 * kappa, 201)
-        hanger = Hanger(f, np.zeros(f.size, dtype=complex))
-        jac = hanger.jacobian(p)
-        assert jac.shape == (8, 2 * f.size)
-        for i, name in enumerate(PARAM_NAMES):
-            h = 1e-6 * (kappa if name == "f_r" else max(abs(p[i]), 1.0))
-            step = np.zeros(8)
-            step[i] = h
-            fd = (hanger.residuals(p + step) - hanger.residuals(p - step)) / (2 * h)
-            err = np.max(np.abs(fd - jac[i])) / np.max(np.abs(jac[i]))
-            assert err < 1e-6, f"{name}: relative error {err:.2e}"
+        _assert_jacobian_matches_central_differences(ResonatorParams(**raw["resonator"]))
+
+    @pytest.mark.parametrize("C,detuning", [(1.0, 0.0), (16.0, 0.5), (100.0, -3.0)])
+    def test_matches_central_differences_with_a_defect(self, C, detuning):
+        # the shifted detuning x + c/f_r moves the f_r column only
+        params = _tls_cases()[0][0]
+        kappa = params.kappa
+        _assert_jacobian_matches_central_differences(params, TLSDefect(
+            f_tls=5.0 + detuning * kappa, g=math.sqrt(C) * kappa / 2, gamma=kappa,
+            temperature=WARM))
 
 
 def _bits(a):
@@ -174,7 +186,37 @@ class TestHangerEvaluator:
             np.testing.assert_array_equal(_bits(a), _bits(b))
 
 
+WARM = 0.2  # K: s_z = tanh(h 5 GHz / k_B T) = 0.83
+
+
+def _tls_cases():
+    """(params, tls): C in {1, 4, 9, 16, 100} at detunings {-3, -0.5, 0, 0.5, 3} kappa
+    at 10 mK, and C = 4 half a linewidth up at WARM."""
+    params = ResonatorParams(f_r=5.0, Q_l=5000.0, Q_e_mag=10000.0, theta=0.3, A=0.9,
+                             alpha=0.2, phi_v=1.3, phi_0=0.4)
+    kappa = params.kappa
+    cases = [(params, TLSDefect(f_tls=5.0 + d * kappa, g=math.sqrt(C) * kappa / 2,
+                                gamma=kappa))
+             for C in (1.0, 4.0, 9.0, 16.0, 100.0) for d in (-3.0, -0.5, 0.0, 0.5, 3.0)]
+    return cases + [(params, TLSDefect(f_tls=5.0 + kappa / 2, g=kappa, gamma=kappa,
+                                       temperature=WARM))]
+
+
 class TestTlsS21:
+    def test_equals_angular_frequency_oracle(self):
+        # the detuning shift c/f_r is the old angular-frequency formula, rearranged
+        cases = _tls_cases()
+        assert sorted({round(tls.cooperativity(p), 9) for p, tls in cases}) == [1, 4, 9, 16, 100]
+        assert thermal_population(cases[-1][1].f_tls, WARM) < 0.9
+        for params, tls in cases:
+            f = np.linspace(5.0 - 10 * KAPPA, 5.0 + 10 * KAPPA, 401)
+            want = tls_model(params, tls, f)
+            np.testing.assert_allclose(tls_s21(params, tls, f), want, rtol=1e-12, atol=0)
+            tr = synth_trace(params, [tls], f, 0.0, np.random.default_rng(0))
+            np.testing.assert_allclose(tr.s21, want, rtol=1e-12, atol=0)
+            assert tls_s21(params, tls, 5.0) == pytest.approx(
+                complex(tls_model(params, tls, np.asarray(5.0))), rel=1e-12)
+
     def test_zero_coupling_reduces_to_hanger(self):
         tls = TLSDefect(f_tls=5.0, g=0.0, gamma=KAPPA)
         f = np.linspace(4.995, 5.005, 257)
