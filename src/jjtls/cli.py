@@ -35,12 +35,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("simulate", help="synthesize a curve-following sweep")
     p.add_argument("--config", type=Path, help="pipeline config JSON")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", help="override the config seed (integer >= 0)")
     _add_common(p)
 
     p = subs.add_parser("detect", help="fit traces, calibrate, find TLS events")
     p.add_argument("--config", type=Path, help="pipeline config JSON")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", help="override the config seed (integer >= 0)")
     _add_common(p)
 
     p = subs.add_parser("infer", help="posterior TLS count and density")
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("correlate", help="treatment and morphology statistics")
     p.add_argument("--densities", type=Path, help="per-resonator densities CSV")
     p.add_argument("--morphology", type=Path, help="per-device morphology CSV")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0", help="permutation seed (integer >= 0)")
     p.add_argument("--repeats", type=int, default=100,
                    help="permutation importance repeats (>= 2)")
     _add_common(p)
@@ -61,6 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("schema", help="print documented file formats")
     p.add_argument("name", nargs="?", help="one schema name (default: all)")
     return parser
+
+
+def _seed(text: str) -> int:
+    """``--seed`` checked as a config seed is (argparse would exit 2 on "1.5")."""
+    from .fileio import checked_seed
+    return checked_seed(int(text) if text.isdecimal() else text, "--seed")
 
 
 def main(argv=None) -> int:
@@ -90,9 +96,10 @@ def main(argv=None) -> int:
             if args.densities is None or args.morphology is None or args.outdir is None:
                 raise ValidationError("--densities, --morphology and --outdir "
                                       "are required")
+            seed = _seed(args.seed)
             args.outdir.mkdir(parents=True, exist_ok=True)
             out = cmd_correlate(args.densities, args.morphology, args.outdir,
-                                seed=args.seed, repeats=args.repeats)
+                                seed=seed, repeats=args.repeats)
             print(json.dumps({k: out[k] for k in ("treatments", "ranking")},
                              sort_keys=True), flush=True)
             return EXIT_OK
@@ -103,7 +110,7 @@ def main(argv=None) -> int:
             raise ValidationError("--config is required")
         cfg = load_pipeline_config(args.config)
         if getattr(args, "seed", None) is not None:
-            cfg["seed"] = int(args.seed)
+            cfg["seed"] = _seed(args.seed)
         if args.command == "simulate":
             args.outdir.mkdir(parents=True, exist_ok=True)
             out = cmd_simulate(cfg, args.outdir)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,7 +65,7 @@ pipeline config passed as --config (JSON object)
   }
   detector:  {ensemble_size?: int >= 1000, temperature?: K}   optional
   inference: {area: junction area (um^2), delta_f?: GHz (default: swept range)}
-  seed:      root seed for all synthetic randomness"""),
+  seed:      root seed for all synthetic randomness (integer >= 0)"""),
     "scenario": _schema("scenario.json", "", "simulate", "", """\
 synthetic measurement campaign (JSON object)
   resonator: {f_r, Q_l, Q_e_mag, theta?, A?, alpha?, phi_v?, phi_0?}
@@ -75,7 +74,7 @@ synthetic measurement campaign (JSON object)
              flux map; flux_per_current in flux quanta per mA
   defects:   [{f_tls, g, gamma, temperature?}, ...]   optional, GHz / K
   noise_sigma: per-quadrature additive noise std (S21 units)
-  rng_seed:  integer seed (pipeline --seed/config seed overrides)"""),
+  rng_seed:  integer seed >= 0 (pipeline --seed/config seed overrides)"""),
     "trace": _schema("traces/trace_*.csv", "simulate", "detect",
                      "current_mA freq_GHz re_s21 im_s21",
                      "one trace per bias point, numbered in bias-plan order"),
@@ -180,17 +179,6 @@ def run_path(outdir: Path, name: str, tag: str = "") -> Path:
     return Path(outdir) / SCHEMAS[name].path.replace("*", tag)
 
 
-def fnum(x) -> str:
-    """Shortest round-trip decimal form of a float."""
-    return repr(float(x))
-
-
-def _cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    return str(v) if isinstance(v, (int, np.integer)) else fnum(v)
-
-
 def atomic_write_text(path: Path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -210,15 +198,18 @@ def write_text(outdir: Path, name: str, text: str, tag: str = "") -> Path:
     return path
 
 
-def write_csv(outdir: Path, name: str, rows, tag: str = "") -> Path:
-    """Write schema ``name`` with its header: floats in shortest round-trip
-    form, ints and strings as they are."""
-    cols = SCHEMAS[name].fields
-    lines = [",".join(cols)]
-    for row in rows:
-        if len(row) != len(cols):
-            raise SchemaError(f"{name}: row of {len(row)} values for {len(cols)} columns")
-        lines.append(",".join(map(_cell, row)))
+def write_csv(outdir: Path, name: str, columns, tag: str = "") -> Path:
+    """Write schema ``name`` with its header from its columns in table order,
+    each formatted in one pass: floats in shortest round-trip form, ints and
+    strings as they are.  A column holds one type (an int among floats would
+    print as a float); no columns at all write the header alone."""
+    fields = SCHEMAS[name].fields
+    cells = [list(map(repr if col.dtype.kind == "f" else str, col.tolist()))
+             for col in map(np.asarray, columns)] or [[]] * len(fields)
+    if len(cells) != len(fields) or len(set(map(len, cells))) != 1:
+        raise SchemaError(f"{name}: columns of {[len(c) for c in cells]} values "
+                          f"for {len(fields)} columns")
+    lines = [",".join(fields), *map(",".join, zip(*cells))]
     return write_text(outdir, name, "\n".join(lines) + "\n", tag)
 
 
@@ -258,36 +249,49 @@ def read_record(path: Path, name: str) -> dict:
     return raw
 
 
-def read_csv(path: Path, name: str, text=()) -> list[list]:
-    """Rows of a CSV of schema ``name``, its columns in table order.
-
-    Cells parse as finite floats except in the ``text`` columns, which
-    are stripped strings.  Extra columns are ignored; errors name the line.
+def read_csv(path: Path, name: str, text=()) -> list:
+    """Columns of a CSV of schema ``name`` in table order: float arrays, and
+    lists of stripped strings for the ``text`` columns.  Extra columns are
+    ignored.  An error names the first bad line, checking on a line the
+    column count, then parsing, then finiteness.
     """
     cols = SCHEMAS[name].fields
-    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         _check_fields(path, name, header, "column(s)")
-        parse = [(header.index(c), str.strip if c in text else float) for c in cols]
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaError(f"{path}:{lineno}: expected {len(header)} "
-                                  f"columns, got {len(row)}")
-            try:
-                cells = [conv(row[i]) for i, conv in parse]
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}")
-            for c, v in zip(cols, cells):
-                if c not in text and not math.isfinite(v):
-                    raise SchemaError(f"{path}:{lineno}: column {c} is not finite")
-            rows.append(cells)
+        records = list(reader)
+    rows = [r for r in records if r]
+    n = len(header)
+    good = next((k for k, m in enumerate(map(len, rows)) if m != n), len(rows))
+    by_header = list(zip(*rows[:good])) or [()] * n
+    # (row, check, message) of every fault; the least (row, check) is raised,
+    # the earlier column on a tie
+    faults = []
+    if good < len(rows):
+        faults.append((good, 0, f"expected {n} columns, got {len(rows[good])}"))
+    out = []
+    for c in cols:
+        cells = by_header[header.index(c)]
+        if c in text:
+            out.append([s.strip() for s in cells])
+            continue
+        values = []
+        try:
+            values.extend(map(float, cells))  # keeps the floats parsed before an error
+        except ValueError as exc:
+            faults.append((len(values), 1, str(exc)))
+        out.append(np.array(values))
+        bad = np.flatnonzero(~np.isfinite(out[-1]))
+        if bad.size:
+            faults.append((bad[0], 2, f"column {c} is not finite"))
+    if faults:
+        k, _, msg = min(faults, key=lambda f: f[:2])
+        lineno = [i for i, r in enumerate(records, start=2) if r][k]
+        raise SchemaError(f"{path}:{lineno}: {msg}")
     if not rows:
         raise SchemaError(f"{path}: no data rows")
-    return rows
+    return out
 
 
 def _require(obj: dict, key: str, where: str):
@@ -296,18 +300,28 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def checked_seed(value, field: str) -> int:
+    """``value`` if it is a non-negative integer (JSON ``true`` is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise SchemaError(f"{field} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def load_scenario(path: Path) -> Scenario:
     raw = read_json(path)
     where = str(path)
     res = _require(raw, "resonator", where)
     flux = _require(raw, "flux", where)
+    sigma = _require(raw, "noise_sigma", where)
+    if isinstance(sigma, bool) or not isinstance(sigma, (int, float)):
+        raise SchemaError(f"{where}: noise_sigma must be a number, got {sigma!r}")
+    seed = checked_seed(_require(raw, "rng_seed", where), f"{where}: rng_seed")
     try:
         scenario = Scenario(
             resonator=ResonatorParams(**res),
             flux=FluxConfig(**flux),
             defects=tuple(TLSDefect(**d) for d in raw.get("defects", [])),
-            noise_sigma=float(_require(raw, "noise_sigma", where)),
-            rng_seed=int(_require(raw, "rng_seed", where)),
+            noise_sigma=float(sigma), rng_seed=seed,
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{where}: {exc}")
@@ -329,16 +343,9 @@ def sweep_plan(sweep_cfg: dict, where: str = "sweep") -> list[float]:
     return plan
 
 
-def trace_rows(trace: Trace):
-    """The rows of a trace CSV; the bias current repeats on every row."""
-    return [(trace.bias_current, f, s.real, s.imag)
-            for f, s in zip(trace.freqs, trace.s21)]
-
-
 def trace_from_csv(path: Path) -> Trace:
-    bias, freqs, re, im = zip(*read_csv(path, "trace"))
-    return Trace(freqs=np.array(freqs), s21=np.array(re) + 1j * np.array(im),
-                 bias_current=bias[0])
+    bias, freqs, re, im = read_csv(path, "trace")
+    return Trace(freqs=freqs, s21=re + 1j * im, bias_current=float(bias[0]))
 
 
 @dataclass(frozen=True)
@@ -373,15 +380,15 @@ def calibration_from_dict(raw: dict) -> DetectorCalibration:
 # --------------------------------------------------------------------------
 # correlate inputs
 
-def read_densities_csv(path: Path) -> list[dict]:
-    """-> one dict per row, keyed by the densities columns."""
+def read_densities_csv(path: Path) -> dict:
+    """-> {column: values}: treatment and resonator_id are lists of strings,
+    the rest float arrays, in row order."""
     cols = SCHEMAS["densities"].fields
-    return [dict(zip(cols, row))
-            for row in read_csv(path, "densities", text=cols[:2])]
+    return dict(zip(cols, read_csv(path, "densities", text=cols[:2])))
 
 
 def read_morphology_csv(path: Path):
     """-> (device_labels, feature_matrix, feature_names, tls_density)."""
-    rows = read_csv(path, "morphology", text=("device_label",))
-    return ([r[0] for r in rows], np.array([r[1:-1] for r in rows]),
-            list(SCHEMAS["morphology"].fields[1:-1]), np.array([r[-1] for r in rows]))
+    labels, *features, density = read_csv(path, "morphology", text=("device_label",))
+    return (labels, np.stack(features, axis=1), list(SCHEMAS["morphology"].fields[1:-1]),
+            density)

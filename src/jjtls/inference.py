@@ -14,13 +14,29 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlog1py, xlogy
+from scipy.special import gammaln, xlog1py, xlogy
 
 from .errors import NumericalError, ValidationError
 
 CI_MASS = 0.6827
 _Q_LO = (1.0 - CI_MASS) / 2.0          # 0.15865
 _Q_HI = 1.0 - _Q_LO                     # 0.84135
+
+
+def logsumexp(a: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarray:
+    """``scipy.special.logsumexp`` of a real array in scipy's own arithmetic:
+    the m maxima of a slice leave its shifted exp-sum s, giving log1p(s/m) +
+    log(m) + max, or log(sum(exp(a))) where that is not finite."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=axis, keepdims=True)
+        at_max = a == a_max
+        m = at_max.sum(axis=axis, keepdims=True, dtype=float)
+        s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=axis, keepdims=True)
+        out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + a_max
+        if not np.isfinite(out).all():  # slices all -inf, holding +inf or NaN
+            out = np.where(np.isfinite(out), out,
+                           np.log(np.exp(a).sum(axis=axis, keepdims=True)))
+    return out if keepdims else out.squeeze(axis)
 
 
 @dataclass(frozen=True)

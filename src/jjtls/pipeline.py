@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CalibrationError, JJTLSError, SchemaError, ValidationError
-from .fileio import (SCHEMAS, calibration_from_dict, load_scenario,
+from .fileio import (SCHEMAS, calibration_from_dict, checked_seed, load_scenario,
                      read_densities_csv, read_json, read_morphology_csv,
                      read_record, run_path, sweep_plan, trace_from_csv,
-                     trace_rows, write_csv, write_record, write_text)
+                     write_csv, write_record, write_text)
 from .manifest import write_manifest
 
 
@@ -31,6 +31,7 @@ def load_pipeline_config(path: Path) -> dict:
             raise SchemaError(f"{path}: missing required section {key!r}")
     if "seed" not in cfg:
         raise SchemaError(f"{path}: a root seed is mandatory for synthetic runs")
+    checked_seed(cfg["seed"], f"{path}: seed")
     return cfg
 
 
@@ -69,7 +70,7 @@ def cmd_simulate(cfg: dict, outdir: Path) -> dict:
     clock = _Clock()
     outdir = Path(outdir)
     scenario = load_scenario(_resolve(cfg, cfg["scenario"]))
-    scenario = replace(scenario, rng_seed=int(cfg["seed"]))
+    scenario = replace(scenario, rng_seed=cfg["seed"])
     sweep_cfg = cfg["sweep"]
     plan = sweep_plan(sweep_cfg)
     span = float(sweep_cfg.get("span", 10 * scenario.resonator.kappa))
@@ -78,8 +79,9 @@ def cmd_simulate(cfg: dict, outdir: Path) -> dict:
     with clock.phase("sweep"):
         sweep = curve_follow(scenario_instrument(scenario), plan, span, n_points)
     with clock.phase("write"):
-        files = [write_csv(outdir, "trace", trace_rows(trace), f"{k:04d}")
-                 for k, trace in enumerate(sweep.traces)]
+        files = [write_csv(outdir, "trace", [np.full(len(t), t.bias_current), t.freqs,
+                                             t.s21.real, t.s21.imag], f"{k:04d}")
+                 for k, t in enumerate(sweep.traces)]
         files.append(write_record(outdir, "scenario_used", asdict(scenario)))
     write_manifest(outdir, "simulate", _config_for_hash(cfg), files,
                    timings=clock.timings())
@@ -110,10 +112,10 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
     sweep = apply_exclusions(sweep, manual)
 
     with clock.phase("write"):
+        params = np.array([f.params.as_array() for f in fits])   # f_r, Q_l, Q_e, theta, ...
         files = [write_csv(outdir, "fits", [
-            (b, f.params.f_r, f.params.Q_l, f.params.Q_e_mag, f.params.theta,
-             f.residual_metric, int(f.converged))
-            for b, f in zip(sweep.bias_currents, fits)])]
+            sweep.bias_currents, *params.T[:4], [f.residual_metric for f in fits],
+            [int(f.converged) for f in fits]])]
 
     # --- calibration from the user-designated flat interval; on failure the
     # fit table above stays on disk for inspection
@@ -132,7 +134,7 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
         raise CalibrationError(
             f"calibration region not flat: max/median = {flatness:.2f} >= 2")
     baseline_i = cal_idx[int(np.argsort(cal_res)[len(cal_res) // 2])]
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     det_cfg = cfg.get("detector", {})
     with clock.phase("calibrate_noise"):
         noise_sigma = calibrate_noise(traces[baseline_i], fits[baseline_i], seed=seed)
@@ -151,9 +153,10 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
     series, events = count.series, count.events
 
     with clock.phase("write"):
-        files.append(write_csv(outdir, "series", zip(series.shift_axis, series.residuals)))
+        files.append(write_csv(outdir, "series", [series.shift_axis, series.residuals]))
         files.append(write_csv(outdir, "events", [
-            (e.shift_position, e.frequency, e.peak_residual) for e in events]))
+            [e.shift_position for e in events], [e.frequency for e in events],
+            [e.peak_residual for e in events]]))
         files.append(write_record(outdir, "calibration", asdict(calib)))
         files.append(write_record(outdir, "detection_meta", {
             "n_detected": len(events),
@@ -211,7 +214,7 @@ def cmd_infer(cfg: dict, outdir: Path) -> dict:
         post = posterior(inp)
     est = density(post, delta_f=delta_f, area=area)
 
-    files = [write_csv(outdir, "posterior", enumerate(post.pmf))]
+    files = [write_csv(outdir, "posterior", [np.arange(post.pmf.size), post.pmf])]
     files.append(write_record(outdir, "estimate", {
         "rho": est.rho,
         "ci68": [est.ci68[0], est.ci68[1]],
@@ -258,18 +261,19 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
     clock = _Clock()
     outdir = Path(outdir)
     with clock.phase("load"):
-        dens_rows = read_densities_csv(densities_path)
+        dens = read_densities_csv(densities_path)
         labels, X, feat_names, tls_density = read_morphology_csv(morphology_path)
 
-    treatments = sorted({r["treatment"] for r in dens_rows})
-    by_treatment = {t: [r for r in dens_rows if r["treatment"] == t]
-                    for t in treatments}
+    treatments = sorted(set(dens["treatment"]))
+    group = np.array(dens["treatment"])
+    # rho and its interval per treatment, in file order
+    rho, ci_lo, ci_hi = ({t: dens[c][group == t].tolist() for t in treatments}
+                         for c in ("rho", "ci_lo", "ci_hi"))
     notices = []
 
     # normality per treatment (Shapiro-Wilk)
     rows = []
-    for t in treatments:
-        vals = [r["rho"] for r in by_treatment[t]]
+    for t, vals in rho.items():
         if len(vals) < 3:
             notices.append(f"shapiro skipped for {t}: n={len(vals)} < 3")
             continue
@@ -277,7 +281,7 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
             rows.append((t, len(vals), *shapiro_wilk(vals)))
         except JJTLSError as exc:
             notices.append(f"shapiro failed for {t}: {exc}")
-    files = [write_csv(outdir, "normality_tests", rows)]
+    files = [write_csv(outdir, "normality_tests", zip(*rows))]
 
     # pairwise rank tests
     rows = []
@@ -286,20 +290,18 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
     else:
         for i, t1 in enumerate(treatments):
             for t2 in treatments[i + 1:]:
-                g1 = [r["rho"] for r in by_treatment[t1]]
-                g2 = [r["rho"] for r in by_treatment[t2]]
+                g1, g2 = rho[t1], rho[t2]
                 if len(g1) < 2 or len(g2) < 2:
                     notices.append(f"rank test skipped for {t1} vs {t2}: group too small")
                     continue
                 rows.append((t1, t2, *kruskal_wallis([g1, g2])))
-    files.append(write_csv(outdir, "rank_tests", rows))
+    files.append(write_csv(outdir, "rank_tests", zip(*rows)))
 
     # gamma fits and device aggregates per treatment
     rows, agg_rows = [], []
-    for t in treatments:
-        vals = [r["rho"] for r in by_treatment[t]]
-        ests = [DensityEstimate(rho=r["rho"], ci68=(r["ci_lo"], r["ci_hi"]),
-                                delta_f=1.0, area=1.0) for r in by_treatment[t]]
+    for t, vals in rho.items():
+        ests = [DensityEstimate(rho=r, ci68=(lo, hi), delta_f=1.0, area=1.0)
+                for r, lo, hi in zip(vals, ci_lo[t], ci_hi[t])]
         summ = aggregate_device(ests)
         agg_rows.append((t, len(ests), summ.rho_mean, summ.sigma_plus, summ.sigma_minus))
         if len(vals) < 4:
@@ -310,8 +312,8 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
             rows.append((t, len(vals), gf.shape, gf.scale, gf.mean, gf.mean_stderr))
         except JJTLSError as exc:
             notices.append(f"gamma fit failed for {t}: {exc}")
-    files.append(write_csv(outdir, "gamma_fits", rows))
-    files.append(write_csv(outdir, "device_summaries", agg_rows))
+    files.append(write_csv(outdir, "gamma_fits", zip(*rows)))
+    files.append(write_csv(outdir, "device_summaries", zip(*agg_rows)))
 
     # pairwise correlation of each morphology metric with density
     rows = []
@@ -321,7 +323,7 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
                          *spearman(X[:, j], tls_density)))
         except JJTLSError as exc:
             notices.append(f"correlation skipped for {name}: {exc}")
-    files.append(write_csv(outdir, "feature_correlations", rows))
+    files.append(write_csv(outdir, "feature_correlations", zip(*rows)))
 
     # collinearity clustering + ridge permutation importance; a constant
     # column has no rank correlation with anything, so it is left out
@@ -367,7 +369,7 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
     panel = Panel(title="TLS density distributions by treatment",
                   xlabel="rho [1 / GHz / um^2]", ylabel="empirical CDF")
     for t in treatments:
-        vals = np.sort([r["rho"] for r in by_treatment[t]])
+        vals = np.sort(rho[t])
         steps = np.arange(1, vals.size + 1) / vals.size
         panel.add_line(np.repeat(vals, 2),
                        np.concatenate([[0.0], np.repeat(steps, 2)[:-1]]),

@@ -357,3 +357,71 @@ def ridge_loocv_predictions_fold_loop(X: np.ndarray, y: np.ndarray, alphas) -> n
                             (Zt @ (yt - ym))[..., None, :, None])
         preds[..., i] = ym + (zi[..., None, :, :] @ w)[..., 0, 0]
     return preds
+
+
+# --------------------------------------------------------------------------
+# the row-wise CSV writer and reader that fileio's column-wise ones replace,
+# as they were (their helpers fnum and _cell included)
+
+def fnum(x) -> str:
+    """Shortest round-trip decimal form of a float."""
+    return repr(float(x))
+
+
+def _cell(v) -> str:
+    if isinstance(v, str):
+        return v
+    return str(v) if isinstance(v, (int, np.integer)) else fnum(v)
+
+
+def write_csv(outdir, name: str, rows, tag: str = ""):
+    """Write schema ``name`` with its header: floats in shortest round-trip
+    form, ints and strings as they are."""
+    from jjtls.errors import SchemaError
+    from jjtls.fileio import SCHEMAS, write_text
+
+    cols = SCHEMAS[name].fields
+    lines = [",".join(cols)]
+    for row in rows:
+        if len(row) != len(cols):
+            raise SchemaError(f"{name}: row of {len(row)} values for {len(cols)} columns")
+        lines.append(",".join(map(_cell, row)))
+    return write_text(outdir, name, "\n".join(lines) + "\n", tag)
+
+
+def read_csv(path, name: str, text=()) -> list[list]:
+    """Rows of a CSV of schema ``name``, its columns in table order.
+
+    Cells parse as finite floats except in the ``text`` columns, which
+    are stripped strings.  Extra columns are ignored; errors name the line.
+    """
+    import csv
+    import math
+
+    from jjtls.errors import SchemaError
+    from jjtls.fileio import SCHEMAS, _check_fields
+
+    cols = SCHEMAS[name].fields
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        _check_fields(path, name, header, "column(s)")
+        parse = [(header.index(c), str.strip if c in text else float) for c in cols]
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise SchemaError(f"{path}:{lineno}: expected {len(header)} "
+                                  f"columns, got {len(row)}")
+            try:
+                cells = [conv(row[i]) for i, conv in parse]
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{lineno}: {exc}")
+            for c, v in zip(cols, cells):
+                if c not in text and not math.isfinite(v):
+                    raise SchemaError(f"{path}:{lineno}: column {c} is not finite")
+            rows.append(cells)
+    if not rows:
+        raise SchemaError(f"{path}: no data rows")
+    return rows

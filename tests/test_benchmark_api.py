@@ -9,6 +9,7 @@ never modified.
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import jjtls
@@ -24,6 +25,47 @@ def test_tracer_targets_resolve():
     missing = [f"{mod}.{name}" for mod, name, _ in tracer.TARGETS
                if not callable(getattr(importlib.import_module(mod), name, None))]
     assert not missing, f"perfbench/tracer.py traces missing functions: {missing}"
+
+
+def _arguments_read(node: ast.AST) -> set[str]:
+    """Names read as ``<bound>.arguments["name"]`` or ``.arguments.get("name")``."""
+    names = set()
+    for sub in ast.walk(node):
+        if (isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Attribute)
+                and sub.value.attr == "arguments"):
+            key = sub.slice
+        elif (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+              and sub.func.attr == "get" and isinstance(sub.func.value, ast.Attribute)
+              and sub.func.value.attr == "arguments" and sub.args):
+            key = sub.args[0]
+        else:
+            continue
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            names.add(key.value)
+    return names
+
+
+def test_tracer_facts_read_existing_parameters():
+    # FACTS reads a traced call's arguments by name; a renamed parameter
+    # would only fail inside a traced benchmark run
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    facts = next(n.value for n in tree.body if isinstance(n, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "FACTS" for t in n.targets))
+    targets = {span: (mod, name) for mod, name, span in ast.literal_eval(next(
+        n.value for n in tree.body if isinstance(n, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in n.targets)))}
+    read = {}
+    for key, value in zip(facts.keys, facts.values):
+        body = defs[value.id] if isinstance(value, ast.Name) else value
+        read[ast.literal_eval(key)] = _arguments_read(body)
+    assert set().union(*read.values()) >= {"text", "init", "ensemble_size"}
+    missing = []
+    for span, names in read.items():
+        mod, name = targets[span]
+        params = inspect.signature(getattr(importlib.import_module(mod), name)).parameters
+        missing += [f"{mod}.{name}({n})" for n in sorted(names - set(params))]
+    assert not missing, f"perfbench/tracer.py FACTS read missing parameters: {missing}"
 
 
 def test_workload_calls_resolve():

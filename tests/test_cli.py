@@ -132,7 +132,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("field", ['"n_islands": NaN', '"n_islands": Infinity',
                                        '"n_islands": "100"', '"n_islands": 1.5',
-                                       '"f_r": "5.0"'])
+                                       '"f_r": "5.0"', '"noise_sigma": "abc"'])
     def test_malformed_scenario_field_exits_one(self, tmp_path, capsys, field):
         text = (FIXTURES / "scenario_three_defects.json").read_text()
         key = field.split(":")[0]
@@ -145,6 +145,46 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key.strip('"') in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("where", ["config", "scenario"])
+    @pytest.mark.parametrize("seed", [1.5, True, "7", -1, None])
+    def test_malformed_seed_exits_one(self, tmp_path, capsys, where, seed):
+        if where == "config":
+            cfg, field = write_config(tmp_path, seed=seed), "seed"
+        else:
+            raw = json.loads((FIXTURES / "scenario_three_defects.json").read_text())
+            (tmp_path / "bad.json").write_text(json.dumps({**raw, "rng_seed": seed}))
+            cfg, field = write_config(tmp_path, scenario=str(tmp_path / "bad.json")), "rng_seed"
+        assert main(["simulate", "--config", str(cfg),
+                     "--outdir", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{field} must be a non-negative integer" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "r" / "traces").exists()
+
+    @pytest.mark.parametrize("seed", ["0", "3", "12345678901234567890"])
+    def test_seed_option_overrides_config(self, tmp_path, seed):
+        cfg = write_config(tmp_path, sweep={"bias_points": 5, "bias_stop": 54.0})
+        out = tmp_path / "r"
+        assert main(["simulate", "--config", str(cfg), "--outdir", str(out),
+                     "--seed", seed]) == 0
+        assert json.loads((out / "scenario_used.json").read_text())["rng_seed"] == int(seed)
+
+    @pytest.mark.parametrize("command,seed", [
+        ("simulate", "-1"), ("simulate", "1.5"), ("simulate", "abc"),
+        ("detect", "-1"), ("correlate", "-1"), ("correlate", "2.0")])
+    def test_malformed_seed_option_exits_one(self, tmp_path, capsys, command, seed):
+        if command == "correlate":
+            args = ["--densities", str(FIXTURES / "densities.csv"),
+                    "--morphology", str(FIXTURES / "morphology.csv")]
+        else:
+            args = ["--config", str(write_config(tmp_path))]
+        out = tmp_path / "r"
+        assert main([command, *args, "--outdir", str(out), "--seed", seed]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed must be a non-negative integer")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
 
 class TestDetect:

@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import _oracles
 from jjtls.errors import SchemaError, ValidationError
-from jjtls.fileio import (load_scenario, read_densities_csv, read_morphology_csv,
-                          trace_from_csv, trace_rows, write_csv, write_json,
+from jjtls.fileio import (SCHEMAS, load_scenario, read_csv, read_densities_csv,
+                          read_morphology_csv, trace_from_csv, write_csv, write_json,
                           write_record)
 from jjtls.manifest import config_hash, sha256_file, write_manifest
 from jjtls.physics import ResonatorParams, synth_trace
@@ -22,10 +23,16 @@ def make_trace():
                        bias_current=12.5)
 
 
+def trace_columns(trace):
+    """The columns of a trace CSV; the bias current repeats on every row."""
+    return [np.full(len(trace), trace.bias_current), trace.freqs,
+            trace.s21.real, trace.s21.imag]
+
+
 class TestTraceCsv:
     def test_round_trip_exact(self, tmp_path):
         tr = make_trace()
-        p = write_csv(tmp_path, "trace", trace_rows(tr), "0000")
+        p = write_csv(tmp_path, "trace", trace_columns(tr), "0000")
         assert p == tmp_path / "traces" / "trace_0000.csv"
         back = trace_from_csv(p)
         assert np.array_equal(back.freqs, tr.freqs)
@@ -39,7 +46,7 @@ class TestTraceCsv:
             trace_from_csv(p)
 
     def test_bad_row_reports_line(self, tmp_path):
-        p = write_csv(tmp_path, "trace", trace_rows(make_trace()), "0000")
+        p = write_csv(tmp_path, "trace", trace_columns(make_trace()), "0000")
         lines = p.read_text().splitlines()
         lines[10] = "oops"
         p.write_text("\n".join(lines) + "\n")
@@ -54,13 +61,157 @@ class TestSchemaWriters:
         with pytest.raises(SchemaError, match="estimate"):
             write_record(tmp_path, "estimate", {"rho": 1.0})
         with pytest.raises(SchemaError, match="posterior"):
-            write_csv(tmp_path, "posterior", [(0, 0.5, 1.0)])
+            write_csv(tmp_path, "posterior", [[0], [0.5], [1.0]])
+        with pytest.raises(SchemaError, match="posterior"):
+            write_csv(tmp_path, "posterior", [[0, 1], [0.5]])
         assert not any(tmp_path.iterdir())
 
     def test_optional_keys_may_be_absent(self, tmp_path):
         p = write_record(tmp_path, "report", {"stages": {}})
         assert p == tmp_path / "report.json"
         assert p.read_text() == '{\n  "stages": {}\n}\n'
+
+
+CSV_SCHEMAS = sorted(k for k, s in SCHEMAS.items() if s.path.endswith(".csv"))
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e-5, 1e16, 1e22, 0.1, 1 / 3, -2.5e-308,
+               1.7976931348623157e308, 9007199254740993.0, 123456789.0]
+
+
+def random_columns(name, seed, n=40, finite=False):
+    """Columns for schema ``name`` from ``seed``: each column is float, int or
+    text in turn (the turn starts at ``seed``), so three seeds give every
+    column every type.  Floats are seeded draws over 600 decades after the
+    edge values; the text columns are returned as the second item."""
+    rng = np.random.default_rng(seed)
+    cols, text = [], []
+    for j, field in enumerate(SCHEMAS[name].fields):
+        kind = (seed + j) % 3
+        if kind == 0:
+            col = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+            col[:len(EDGE_FLOATS)] = EDGE_FLOATS
+            if not finite:
+                col[-3:] = [np.inf, -np.inf, np.nan]
+        elif kind == 1:
+            col = rng.integers(-10**15, 10**15, n)
+            col[:3] = [0, -1, 2**53 + 1]
+        else:
+            col = np.array(["".join(rng.choice(list("abxyz_ 01.e"), 6)) for _ in range(n)])
+            text.append(field)
+        cols.append(col if seed % 2 else col.tolist())  # arrays and lists
+    return cols, tuple(text)
+
+
+def as_rows(columns):
+    """Columns as the oracle reader returns them: rows of floats and strings."""
+    return [list(r) for r in zip(*(c if isinstance(c, list) else c.tolist()
+                                   for c in columns))]
+
+
+def read_outcome(read, path, name, text):
+    try:
+        got = read(path, name, text)
+    except SchemaError as exc:
+        return "error", str(exc)
+    return "ok", repr(got if read is _oracles.read_csv else as_rows(got))
+
+
+class TestCsvMatchesRowOracle:
+    """The column-wise writer and reader against the row-wise ones they replace."""
+
+    @pytest.mark.parametrize("name", CSV_SCHEMAS)
+    def test_written_bytes_equal(self, tmp_path, name):
+        for seed in range(6):
+            cols, _ = random_columns(name, seed)
+            new = write_csv(tmp_path / "new", name, cols, "0000")
+            old = _oracles.write_csv(tmp_path / "old", name, zip(*cols), "0000")
+            assert new.read_bytes() == old.read_bytes(), seed
+        empty = [[] for _ in SCHEMAS[name].fields]
+        assert (write_csv(tmp_path / "new", name, empty, "0000").read_bytes()
+                == _oracles.write_csv(tmp_path / "old", name, [], "0000").read_bytes())
+
+    @pytest.mark.parametrize("name", CSV_SCHEMAS)
+    def test_read_back_equal(self, tmp_path, name):
+        for seed in range(6):
+            cols, text = random_columns(name, seed, finite=True)
+            p = write_csv(tmp_path, name, cols, "0000")
+            got = read_csv(p, name, text)
+            for field, col in zip(SCHEMAS[name].fields, got):
+                assert isinstance(col, list) if field in text else col.dtype == float
+            old = _oracles.read_csv(p, name, text)
+            assert repr(as_rows(got)) == repr(old)
+            numeric = [j for j, f in enumerate(SCHEMAS[name].fields) if f not in text]
+            for j in numeric:
+                assert np.array_equal(got[j], np.array([r[j] for r in old]))
+
+
+TRACE_HEADER = "current_mA,freq_GHz,re_s21,im_s21"
+
+
+def trace_text(*edits, header=TRACE_HEADER, tail=""):
+    """A six-row trace CSV; each edit is (line number, replacement line)."""
+    lines = [header] + [f"1.5,{5 + k * 1e-4!r},0.{k}5,-0.{k}1" for k in range(6)]
+    for lineno, line in edits:
+        lines[lineno - 1] = line
+    return "\n".join(lines) + "\n" + tail
+
+
+DENSITIES_HEADER = "treatment,resonator_id,rho,ci_lo,ci_hi"
+
+# (id, schema, text columns, file contents)
+MALFORMED = [
+    ("column_count", "trace", (), trace_text((4, "1.5,5.0,0.1"))),
+    ("unparsable_cell", "trace", (), trace_text((3, "1.5,5.0,oops,0.2"))),
+    ("nan_cell", "trace", (), trace_text((5, "1.5,5.0,nan,0.2"))),
+    ("inf_cell", "trace", (), trace_text((5, "1.5,inf,0.1,0.2"))),
+    ("minus_inf_cell", "trace", (), trace_text((2, "-inf,5.0,0.1,0.2"))),
+    ("missing_column", "trace", (), trace_text(header="current_mA,freq_GHz,re_s21")),
+    ("empty_file", "trace", (), ""),
+    ("header_only", "trace", (), TRACE_HEADER + "\n"),
+    ("header_and_blank_lines", "trace", (), TRACE_HEADER + "\n\n\n"),
+    ("trailing_blank_lines", "trace", (), trace_text(tail="\n\n\n")),
+    ("blank_line_then_fault", "trace", (), trace_text((3, ""), (6, "1.5,5.0,x,0.2"))),
+    ("whitespace_line", "trace", (), trace_text((4, "   "))),
+    ("extra_text_column", "trace", (),
+     "\n".join([TRACE_HEADER + ",note"] + [f"1.5,5.{k},0.1,0.2,take {k}"
+                                           for k in range(4)]) + "\n"),
+    ("extra_column_short_row", "trace", (),
+     TRACE_HEADER + ",note\n1.5,5.0,0.1,0.2,a\n1.5,5.1,0.1,0.2\n"),
+    ("quoted_numeric_cell", "trace", (), trace_text((3, '1.5,"5.0",0.1," 0.2 "'))),
+    ("quoted_newline_cell", "trace", (),
+     trace_text((3, '1.5,"5.0\n",0.1,0.2'), (5, "1.5,5.0,y,0.2"))),
+    ("two_faults_count_first", "trace", (),
+     trace_text((3, "1.5,5.0,0.1"), (5, "1.5,5.0,nan,0.2"))),
+    ("two_faults_nonfinite_first", "trace", (),
+     trace_text((3, "1.5,5.0,0.1,inf"), (5, "1.5,5.0"))),
+    ("two_faults_parse_first", "trace", (),
+     trace_text((3, "1.5,5.0,0.1,z"), (6, "nan,5.0,0.1,0.2"))),
+    ("parse_before_nonfinite_on_a_line", "trace", (), trace_text((4, "nan,5.0,0.1,x"))),
+    ("two_parse_faults_on_a_line", "trace", (), trace_text((4, "1.5,a,b,0.2"))),
+    ("two_nonfinite_on_a_line", "trace", (), trace_text((4, "1.5,nan,inf,0.2"))),
+    ("reordered_header_faults", "trace", (),
+     "im_s21,re_s21,freq_GHz,current_mA\n0.1,0.2,5.0,1.5\nx,0.2,y,1.5\n"),
+    ("underscore_and_spaces", "trace", (), trace_text((2, " 1_5 ,5.0e0,+0.1,-0\t"))),
+    ("densities_text_stripped", "densities", ("treatment", "resonator_id"),
+     DENSITIES_HEADER + "\n A ,r0 ,0.1,0.05,0.2\nB,\"r,1\",0.2,0.1,0.3\n"),
+    ("densities_nonfinite_rho", "densities", ("treatment", "resonator_id"),
+     DENSITIES_HEADER + "\nA,r0,0.1,0.05,0.2\nnan,r1,nan,0.1,0.3\n"),
+]
+
+
+# the files of MALFORMED that both readers accept
+ACCEPTED = {"trailing_blank_lines", "extra_text_column", "quoted_numeric_cell",
+            "underscore_and_spaces", "densities_text_stripped"}
+
+
+class TestMalformedCsvMatchesRowOracle:
+    @pytest.mark.parametrize("case,name,text,contents", MALFORMED,
+                             ids=[c[0] for c in MALFORMED])
+    def test_same_outcome(self, tmp_path, case, name, text, contents):
+        p = tmp_path / "t.csv"
+        p.write_text(contents)
+        got = read_outcome(read_csv, p, name, text)
+        assert got == read_outcome(_oracles.read_csv, p, name, text)
+        assert got[0] == ("ok" if case in ACCEPTED else "error")
 
 
 class TestScenarioFile:
@@ -85,7 +236,9 @@ class TestScenarioFile:
         ("flux", "n_islands", 0), ("flux", "m_trapped", 0.5),
         ("flux", "f_bare", None), ("resonator", "f_r", "5.0"),
         ("defect", "g", "0.001"), (None, "noise_sigma", "abc"),
-        (None, "rng_seed", float("nan")), (None, "rng_seed", float("inf"))])
+        (None, "rng_seed", float("nan")), (None, "rng_seed", float("inf")),
+        (None, "rng_seed", 1.5), (None, "rng_seed", True), (None, "rng_seed", "7"),
+        (None, "rng_seed", -1), (None, "noise_sigma", None), (None, "noise_sigma", True)])
     def test_malformed_field_is_a_validation_error(self, tmp_path, section, key, value):
         raw = json.loads((FIXTURES / "scenario_three_defects.json").read_text())
         target = {"flux": raw["flux"], "resonator": raw["resonator"],
@@ -96,6 +249,15 @@ class TestScenarioFile:
         with pytest.raises(ValidationError) as info:
             load_scenario(p)
         assert "\n" not in str(info.value)
+        if section is None:
+            assert key in str(info.value)
+
+    def test_integer_seed_kept(self, tmp_path):
+        raw = json.loads((FIXTURES / "scenario_three_defects.json").read_text())
+        p = tmp_path / "s.json"
+        for seed in (0, 2**70):
+            p.write_text(json.dumps({**raw, "rng_seed": seed}))
+            assert load_scenario(p).rng_seed == seed
 
 
 class TestCorrelateInputs:

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from scipy import special
+
+import jjtls.inference
 from _oracles import enumerate_detection_pmf, forward_detections, mc_peak_rates
 from jjtls.errors import ValidationError
 from jjtls.inference import (DensityEstimate, DetectorRates, InferenceInput, _marginal,
                              _poisson_terms, aggregate_device, density, likelihood_vector,
-                             marginal_likelihood, mle_lambda, posterior,
+                             logsumexp, marginal_likelihood, mle_lambda, posterior,
                              true_rates)
 
 
@@ -168,6 +171,49 @@ class TestMarginalLikelihood:
     def test_negative_rate_in_array_rejected(self):
         with pytest.raises(ValidationError):
             marginal_likelihood(3, 60, self.R, np.array([1.0, -0.5]))
+
+
+class TestLogsumexp:
+    """The numpy logsumexp against scipy.special.logsumexp, bit for bit."""
+
+    @staticmethod
+    def edge_rows():
+        rows = np.random.default_rng(3).normal(size=(6, 9)) * 40
+        rows[0] = -np.inf                           # all -inf
+        rows[1, 4] = np.inf                         # holds +inf
+        rows[2, [1, 5, 7]] = rows[2].max() + 1.0    # ties at the max
+        rows[3, 2] = np.nan                         # holds NaN
+        rows[4, :] = 5.0                            # all tied
+        rows[5, [0, 8]] = -np.inf                   # some -inf
+        return rows
+
+    @pytest.mark.parametrize("shape", [(31,), (1001,), (121, 1001), "edges"])
+    def test_equals_scipy(self, shape):
+        if shape == "edges":
+            a = self.edge_rows()
+        else:
+            a = np.random.default_rng(len(shape)).normal(size=shape) * 300.0
+        for axis in range(-a.ndim, a.ndim):
+            for keepdims in (False, True):
+                want = special.logsumexp(a, axis=axis, keepdims=keepdims)
+                got = logsumexp(a, axis=axis, keepdims=keepdims)
+                assert got.shape == np.shape(want)
+                assert np.array_equal(got, want, equal_nan=True)
+
+    def test_posteriors_equal_scipy(self, monkeypatch):
+        # 745 posteriors: B = 1..490, then every second B to 1000
+        cases = [(B, B // 20 + B % 3, true_rates(*[(0.02, 0.35), (0.1, 0.05),
+                                                  (0.001, 0.6)][B % 3]))
+                 for B in [*range(1, 491), *range(492, 1001, 2)]]
+        assert len(cases) == 745
+        inputs = [InferenceInput(n_detected=n_m, n_bins=B, rates=r) for B, n_m, r in cases]
+        got = [posterior(i) for i in inputs]
+        monkeypatch.setattr(jjtls.inference, "logsumexp", special.logsumexp)
+        for inp, g in zip(inputs, got):
+            w = posterior(inp)
+            assert np.array_equal(g.pmf, w.pmf), inp
+            assert (g.lambda_star, g.mean_count, g.ci68) == (w.lambda_star, w.mean_count,
+                                                           w.ci68), inp
 
 
 class TestMleLambda:
