@@ -488,13 +488,14 @@ def build_threshold(params: ResonatorParams, noise_sigma: float,
             [tangent.metrics(noise_sigma, b)
              for b in _noise_blocks(rng, ensemble_size, grid.size)]))
         # guard: the first members refitted exactly, bit for bit the traces
-        # of the exact path; a disagreement sends the ensemble down that path
+        # of the exact path; a disagreement sends the ensemble down that path.
+        # Refits start from the noiseless trace's fit, which each member scatters around
         d = m_lin[:GUARD_MEMBERS] - _refit_metrics(
-            grid, model, noise_sigma, replay(GUARD_MEMBERS), params)
+            grid, model, noise_sigma, replay(GUARD_MEMBERS), ref.params)
         s = float(np.std(m_lin))
         if abs(np.mean(d)) <= GUARD_MEAN * s and np.max(np.abs(d)) <= GUARD_MAX * s:
             return m_lin
-        return _refit_metrics(grid, model, noise_sigma, replay(ensemble_size), params)
+        return _refit_metrics(grid, model, noise_sigma, replay(ensemble_size), ref.params)
 
     m_noise = ensemble_metrics(hanger_s21(params, grid))
     m_tls = ensemble_metrics(tls_s21(params, tls, grid))

@@ -183,7 +183,7 @@ def atomic_write_text(path: Path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
 
@@ -225,9 +225,11 @@ def write_record(outdir: Path, name: str, record: dict, tag: str = "") -> Path:
 
 def read_json(path: Path):
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise SchemaError(f"missing file: {path}")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})")
 
@@ -256,11 +258,14 @@ def read_csv(path: Path, name: str, text=()) -> list:
     column count, then parsing, then finiteness.
     """
     cols = SCHEMAS[name].fields
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        _check_fields(path, name, header, "column(s)")
-        records = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            records = list(reader)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})")
+    _check_fields(path, name, header, "column(s)")
     rows = [r for r in records if r]
     n = len(header)
     good = next((k for k, m in enumerate(map(len, rows)) if m != n), len(rows))

@@ -298,7 +298,7 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
     files.append(write_csv(outdir, "rank_tests", zip(*rows)))
 
     # gamma fits and device aggregates per treatment
-    rows, agg_rows = [], []
+    rows, agg_rows, gamma = [], [], {}
     for t, vals in rho.items():
         ests = [DensityEstimate(rho=r, ci68=(lo, hi), delta_f=1.0, area=1.0)
                 for r, lo, hi in zip(vals, ci_lo[t], ci_hi[t])]
@@ -308,7 +308,7 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
             notices.append(f"gamma fit skipped for {t}: n={len(vals)} < 4")
             continue
         try:
-            gf = gamma_fit(vals)
+            gf = gamma[t] = gamma_fit(vals)
             rows.append((t, len(vals), gf.shape, gf.scale, gf.mean, gf.mean_stderr))
         except JJTLSError as exc:
             notices.append(f"gamma fit failed for {t}: {exc}")
@@ -374,14 +374,9 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
         panel.add_line(np.repeat(vals, 2),
                        np.concatenate([[0.0], np.repeat(steps, 2)[:-1]]),
                        f"{t} (n={vals.size})")
-        if vals.size >= 4 and vals.std() > 0:
-            try:
-                gf = gamma_fit(vals)
-                xs = np.linspace(0, float(vals.max()) * 1.3, 80)
-                panel.add_line(xs, gammainc(gf.shape, xs / gf.scale),
-                               f"{t} gamma fit")
-            except JJTLSError:
-                pass
+        if t in gamma:  # the fit written to gamma_fits.csv
+            xs = np.linspace(0, float(vals.max()) * 1.3, 80)
+            panel.add_line(xs, gammainc(gamma[t].shape, xs / gamma[t].scale), f"{t} gamma fit")
     files.append(write_text(outdir, "densities_plot", render(panel)))
     files.append(write_record(outdir, "notices", {"notices": notices}))
 

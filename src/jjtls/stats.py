@@ -149,33 +149,55 @@ def spearman(x, y) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Ridge regression with leave-one-out cross-validation
 
-def _ridge_loocv_predictions(X: np.ndarray, y: np.ndarray, alphas) -> np.ndarray:
+def _ridge_loocv_predictions(X: np.ndarray, y: np.ndarray, alphas,
+                             swaps: np.ndarray | None = None) -> np.ndarray:
     """Honest LOOCV: standardization and fit are redone per fold, with one solve
     per fold for every design in the stack X (..., n, k) and every alpha; a
     column constant over a fold's training rows scores z = 0 in that fold.
     Folds run in blocks of at most LOO_BLOCK training-row floats; each fold
     keeps the arithmetic, and the sum order, of a fold run on its own.
-    Returns the held-out predictions, shape (..., len(alphas), n)."""
+    Returns the held-out predictions, shape (..., len(alphas), n).
+
+    With ``swaps`` (k, r, n) the designs are instead the 2-d X with column j
+    replaced by swaps[j, rep], predictions (k, r, len(alphas), n): a fold
+    standardises X and the swapped columns side by side, and each design's
+    system is X's with the products of its swapped column put in."""
     n, k = X.shape[-2:]
     ridge = alphas[:, None, None] * np.eye(k)
-    preds = np.empty(X.shape[:-2] + (ridge.shape[0], n))
+    cols = X if swaps is None else np.hstack([X, swaps.reshape(-1, n).T])  # (n, k + k*r)
+    r, i = 0 if swaps is None else swaps.shape[1], np.arange(k)
+    preds = np.empty((X.shape[:-2] if swaps is None else swaps.shape[:-1])
+                     + (ridge.shape[0], n))
+
+    def swapped(a):  # the swapped columns' entries of a (f, k + k*r, ...) as (k, r, f, ...)
+        return np.moveaxis(a[:, k:].reshape((a.shape[0], k, r) + a.shape[2:]), 0, 2)
+
     j = np.arange(n - 1)
     train = j + (j >= np.arange(n)[:, None])  # (n, n-1): the rows each fold trains on
-    step = max(1, LOO_BLOCK // max(1, X.size // n * (n - 1)))  # folds per block
+    step = max(1, LOO_BLOCK // max(1, cols.size // n * (n - 1)))  # folds per block
     for start in range(0, n, step):
         held = slice(start, start + step)
-        Xt, yt = X[..., train[held], :], y[train[held]]  # (..., f, n-1, k), (f, n-1)
-        mu = Xt.mean(axis=-2, keepdims=True)
-        d = Xt - mu
-        sd = np.sqrt(np.add.reduce(d * d, axis=-2, keepdims=True) / (n - 1))  # np.std's steps
-        varying = np.ptp(Xt, axis=-2, keepdims=True) > 0
-        Z = np.divide(d, sd, out=np.zeros_like(d), where=varying)
-        zi = np.divide(X[..., held, None, :] - mu, sd, out=np.zeros_like(mu), where=varying)
+        Z, yt = cols[..., train[held], :], y[train[held]]  # (..., f, n-1, c), (f, n-1)
+        mu = Z.mean(axis=-2, keepdims=True)
+        varying = np.ptp(Z, axis=-2, keepdims=True) > 0
+        Z -= mu  # the training rows are a fresh copy: centred and scaled in place
+        sd = np.sqrt(np.add.reduce(Z * Z, axis=-2, keepdims=True) / (n - 1))  # np.std's steps
+        np.copyto(np.divide(Z, sd, out=Z, where=varying), 0.0, where=~varying)
+        zi = np.divide(cols[..., held, None, :] - mu, sd, out=np.zeros_like(mu), where=varying)
         ym = yt.mean(axis=-1, keepdims=True)
         Zt = np.swapaxes(Z, -1, -2)
-        w = np.linalg.solve((Zt @ Z)[..., None, :, :] + ridge,
-                            (Zt @ (yt - ym)[..., None])[..., None, :, :])
+        G, b = Zt @ Z[..., :k], Zt @ (yt - ym)[..., None]  # (..., f, c, k), (..., f, c, 1)
+        if swaps is not None:  # design (j, rep): X's system, swapped column (j, rep) as j
+            Gs, bs, zs = (np.broadcast_to(a, (k, r) + a.shape).copy()
+                          for a in (G[:, :k], b[:, :k], zi[..., :k]))
+            Gs[i, :, :, i] = Gs[i, ..., i] = swapped(G)
+            Gs[i, :, :, i, i] = swapped(np.einsum("ftc,ftc->fc", Z, Z))
+            bs[i, :, :, i] = swapped(b)
+            zs[i, :, :, 0, i] = swapped(zi[:, 0])
+            G, b, zi = Gs, bs, zs
+        w = np.linalg.solve(G[..., None, :, :] + ridge, b[..., None, :, :])
         preds[..., held] = np.swapaxes(ym + (zi[..., None, :, :] @ w)[..., 0, 0], -1, -2)
+        del Z, Zt  # before the next block's gather
     return preds
 
 
@@ -319,11 +341,13 @@ def ridge_permutation_importance(features, target, *, alpha: float | None = None
     a = alpha if alpha is not None else _select_alpha(X, y)[0]
     base = float(ridge_loocv_r2(X, y, a))
     rng = np.random.default_rng(seed)
-    shuffled = np.broadcast_to(X, (k, repeats, n, k)).copy()
+    swaps = np.empty((k, repeats, n))
     for j in range(k):
         for rep in range(repeats):
-            shuffled[j, rep, :, j] = rng.permutation(X[:, j])
-    drops = base - ridge_loocv_r2(shuffled, y, a)
+            swaps[j, rep] = rng.permutation(X[:, j])
+    preds = _ridge_loocv_predictions(X, y, np.array([a], dtype=float), swaps)[..., 0, :]
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    drops = base - (1.0 - np.sum((y - preds) ** 2, axis=-1) / ss_tot)
     importances = {name: (float(d.mean()), float(d.std(ddof=1)))
                    for name, d in zip(feature_names, drops)}
     return RegressionReport(feature_names=feature_names, ridge_alpha=a,

@@ -64,7 +64,8 @@ def exact_threshold(params, noise_sigma: float, ensemble_size: int, seed: int = 
     """build_threshold by one warm-started nonlinear refit per ensemble member.
 
     The noise ensemble, then the critical-TLS ensemble, each member drawing
-    n_points real then n_points imaginary normals from the threshold stream.
+    n_points real then n_points imaginary normals from the threshold stream
+    and refitted from the fit of its ensemble's noiseless trace.
     Returns (noise metrics, TLS metrics, DetectorCalibration).
     """
     from scipy.special import ndtr
@@ -82,10 +83,11 @@ def exact_threshold(params, noise_sigma: float, ensemble_size: int, seed: int = 
 
     def ensemble_metrics(model):
         out = np.empty(ensemble_size)
+        start = fit_hanger(Trace(freqs=grid, s21=model), init=params).params
         for k in range(ensemble_size):
             noisy = model + noise_sigma * (rng.standard_normal(grid.size)
                                            + 1j * rng.standard_normal(grid.size))
-            out[k] = fit_hanger(Trace(freqs=grid, s21=noisy), init=params).residual_metric
+            out[k] = fit_hanger(Trace(freqs=grid, s21=noisy), init=start).residual_metric
         return _finite_members(out)
 
     m_noise = ensemble_metrics(hanger_s21(params, grid))
@@ -331,6 +333,51 @@ def permutation_importance_loop(X: np.ndarray, y: np.ndarray, alpha: float,
             drops[rep] = base - ridge_loocv_r2_loop(Xp, y, alpha)
         out.append((float(drops.mean()), float(drops.std(ddof=1))))
     return out
+
+
+def permuted_designs(X: np.ndarray, swaps: np.ndarray) -> np.ndarray:
+    """The (k, repeats, n, k) stack of designs: X with column j replaced by swaps[j, r]."""
+    k, repeats, n = swaps.shape
+    stack = np.broadcast_to(X, (k, repeats, n, k)).copy()
+    for j in range(k):
+        stack[j, :, :, j] = swaps[j]
+    return stack
+
+
+def ridge_permutation_importance_stacked(features, target, *, alpha: float | None = None,
+                                         repeats: int = 100, seed: int = 0,
+                                         feature_names=None):
+    """The stacked permutation importance that the swap-form LOOCV replaces, as
+    it was: every shuffled design copied whole into one (k, repeats, n, k)
+    stack and scored by the stacked LOOCV."""
+    from jjtls.errors import ValidationError
+    from jjtls.stats import RegressionReport, _select_alpha, ridge_loocv_r2
+
+    X = np.asarray(features, dtype=float)
+    y = np.asarray(target, dtype=float)
+    if X.ndim != 2:
+        raise ValidationError("need a 2-d feature matrix")
+    n, k = X.shape
+    if feature_names is None:
+        feature_names = tuple(f"f{j}" for j in range(k))
+    feature_names = tuple(feature_names)
+    if len(feature_names) != k:
+        raise ValidationError("feature_names length mismatch")
+    if repeats < 2:
+        raise ValidationError(f"repeats must be >= 2 for a std of the drops, got {repeats}")
+
+    a = alpha if alpha is not None else _select_alpha(X, y)[0]
+    base = float(ridge_loocv_r2(X, y, a))
+    rng = np.random.default_rng(seed)
+    shuffled = np.broadcast_to(X, (k, repeats, n, k)).copy()
+    for j in range(k):
+        for rep in range(repeats):
+            shuffled[j, rep, :, j] = rng.permutation(X[:, j])
+    drops = base - ridge_loocv_r2(shuffled, y, a)
+    importances = {name: (float(d.mean()), float(d.std(ddof=1)))
+                   for name, d in zip(feature_names, drops)}
+    return RegressionReport(feature_names=feature_names, ridge_alpha=a,
+                            loocv_r2=base, importances=importances)
 
 
 def ridge_loocv_predictions_fold_loop(X: np.ndarray, y: np.ndarray, alphas) -> np.ndarray:

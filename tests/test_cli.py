@@ -555,6 +555,98 @@ class TestCorrelate:
                      "--outdir", str(tmp_path / "c")]) == 1
         assert "ci_lo" in capsys.readouterr().err
 
+    def test_gamma_overlay_is_the_table_fit(self, tmp_path, monkeypatch):
+        # densities.svg draws each treatment's gamma CDF from the shape and
+        # scale written to gamma_fits.csv, fitted once per treatment
+        import numpy as np
+        from scipy.special import gammainc
+
+        import jjtls.stats
+        import jjtls.svgplot
+        from jjtls.fileio import read_csv
+
+        fits, lines = [], {}
+        real_fit, real_line = jjtls.stats.gamma_fit, jjtls.svgplot.Panel.add_line
+
+        def counting_fit(samples):
+            fits.append(samples)
+            return real_fit(samples)
+
+        def recording_line(panel, x, y, label=""):
+            lines[label] = (np.asarray(x), np.asarray(y))
+            return real_line(panel, x, y, label)
+
+        monkeypatch.setattr(jjtls.stats, "gamma_fit", counting_fit)
+        monkeypatch.setattr(jjtls.svgplot.Panel, "add_line", recording_line)
+        out = tmp_path / "corr"
+        assert main(["correlate", "--densities", str(FIXTURES / "densities.csv"),
+                     "--morphology", str(FIXTURES / "morphology.csv"),
+                     "--outdir", str(out), "--repeats", "2"]) == 0
+        treatments, _, shape, scale, *_ = read_csv(out / "gamma_fits.csv", "gamma_fits",
+                                                   text=("treatment",))
+        assert len(fits) == len(treatments) == 5
+        for t, k, theta in zip(treatments, shape, scale):
+            xs, cdf = lines[f"{t} gamma fit"]
+            assert np.array_equal(cdf, gammainc(k, xs / theta))
+
+    def test_gamma_overlay_skipped_with_the_fit(self, tmp_path):
+        # a treatment of three devices gets no fit, so no overlay either
+        rows = (FIXTURES / "densities.csv").read_text().splitlines()
+        kept = [r for r in rows[1:] if not r.startswith("D,")]
+        kept += [r for r in rows[1:] if r.startswith("D,")][:3]
+        p = tmp_path / "three_d.csv"
+        p.write_text("\n".join([rows[0]] + kept) + "\n")
+        out = tmp_path / "corr"
+        assert main(["correlate", "--densities", str(p),
+                     "--morphology", str(FIXTURES / "morphology.csv"),
+                     "--outdir", str(out), "--repeats", "2"]) == 0
+        notices = json.loads((out / "notices.json").read_text())["notices"]
+        assert "gamma fit skipped for D: n=3 < 4" in notices
+        svg = (out / "densities.svg").read_text()
+        assert "D (n=3)" in svg and "D gamma fit" not in svg
+        assert "A gamma fit" in svg
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 in an input file is one error line naming it."""
+
+    @staticmethod
+    def corrupt(path: Path, line: int) -> None:
+        lines = path.read_bytes().split(b"\n")
+        lines[line] += b"\xff"
+        path.write_bytes(b"\n".join(lines))
+
+    @staticmethod
+    def one_error_line(capsys, path: Path) -> None:
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert f"{path}: not UTF-8 text" in err
+
+    def test_trace_csv(self, full_run, tmp_path, capsys):
+        _, out = full_run
+        broken = tmp_path / "broken"
+        shutil.copytree(out / "traces", broken / "traces")
+        victim = broken / "traces" / "trace_0003.csv"
+        self.corrupt(victim, 40)
+        cfg = write_config(tmp_path)
+        assert main(["detect", "--config", str(cfg), "--outdir", str(broken)]) == 1
+        self.one_error_line(capsys, victim)
+
+    def test_pipeline_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        self.corrupt(cfg, 0)
+        assert main(["simulate", "--config", str(cfg), "--outdir", str(tmp_path / "o")]) == 1
+        self.one_error_line(capsys, cfg)
+
+    def test_densities_csv(self, tmp_path, capsys):
+        p = tmp_path / "densities.csv"
+        shutil.copy(FIXTURES / "densities.csv", p)
+        self.corrupt(p, 5)
+        assert main(["correlate", "--densities", str(p),
+                     "--morphology", str(FIXTURES / "morphology.csv"),
+                     "--outdir", str(tmp_path / "c")]) == 1
+        self.one_error_line(capsys, p)
+
 
 class TestSchemaAndReport:
     def test_schema_subcommand(self, capsys):

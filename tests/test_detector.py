@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -536,16 +537,22 @@ class TestProjectedCalibration:
     def test_fits_only_references_and_guards(self, monkeypatch):
         import jjtls.detector as detector
 
-        real, inits = detector.fit_hanger, []
+        real, inits, fits = detector.fit_hanger, [], []
 
         def counting(trace, init=None):
             inits.append(init)
-            return real(trace, init=init)
+            fits.append(real(trace, init=init))
+            return fits[-1]
 
         monkeypatch.setattr(detector, "fit_hanger", counting)
         build_threshold(FLEET_RES, 0.005, ensemble_size=1000, seed=3)
-        assert len(inits) == 2 * (1 + detector.GUARD_MEMBERS)
-        assert all(init == FLEET_RES for init in inits)
+        per_ensemble = 1 + detector.GUARD_MEMBERS
+        assert len(inits) == 2 * per_ensemble
+        # each ensemble: its reference fit from the bare parameters, then the
+        # guard refits from the reference fit
+        for ref in (0, per_ensemble):
+            assert inits[ref] == FLEET_RES
+            assert all(init == fits[ref].params for init in inits[ref + 1:ref + per_ensemble])
 
     def test_noise_blocks_reproduce_per_member_stream(self):
         # two ensembles back to back, each crossing a block boundary: the
@@ -736,6 +743,38 @@ class TestInvariants:
             fns.append(c.fn)
         assert fps[0] <= fps[1] <= fps[2]
         assert fns[0] <= fns[1] <= fns[2]
+
+
+class TestFixtureCalibration:
+    """The bundled fixture's resonator at its noise, ensemble size and seed."""
+
+    def test_pinned_with_cheap_guard_refits(self, monkeypatch):
+        import jjtls.detector as detector
+        from jjtls.fileio import load_scenario
+
+        sc = load_scenario(Path(__file__).resolve().parent.parent
+                           / "fixtures" / "scenario_three_defects.json")
+        real, evals = detector.fit_hanger, []
+
+        def counting(trace, init=None):
+            fit = real(trace, init=init)
+            evals.append(fit.n_evals)
+            return fit
+
+        monkeypatch.setattr(detector, "fit_hanger", counting)
+        calib = build_threshold(sc.resonator, sc.noise_sigma, ensemble_size=1200, seed=7)
+        assert (calib.fp, calib.noise_sigma) == (0.0, 0.005)
+        assert calib.threshold == pytest.approx(0.00015181688023633435, rel=1e-12)
+        assert calib.fn == pytest.approx(1.9064567792113076e-135, rel=1e-9)
+        assert calib.gauss_noise == pytest.approx((5.504631647119185e-05, 3.901593007280785e-06),
+                                                  rel=1e-12)
+        assert calib.gauss_tls == pytest.approx((0.0005912446256883292, 1.7760646469562818e-05),
+                                                rel=1e-12)
+        # the reference fit of each ensemble, then its guard refits; the TLS
+        # members scatter around the reference fit, not the bare parameters
+        guard = detector.GUARD_MEMBERS
+        assert len(evals) == 2 * (1 + guard)
+        assert np.mean(evals[2 + guard:]) <= 10.0
 
 
 class TestDetectorCalibrationType:

@@ -1,12 +1,15 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from _oracles import (permutation_importance_loop, ridge_loocv_predictions_dropping_flat,
-                      ridge_loocv_predictions_fold_loop, ridge_loocv_predictions_loop,
-                      ridge_loocv_r2_loop)
+from _oracles import (permutation_importance_loop, permuted_designs,
+                      ridge_loocv_predictions_dropping_flat, ridge_loocv_predictions_fold_loop,
+                      ridge_loocv_predictions_loop, ridge_loocv_r2_loop,
+                      ridge_permutation_importance_stacked)
 from jjtls.errors import DegenerateDataError, ValidationError
 from jjtls.stats import (LOO_BLOCK, RIDGE_ALPHA_GRID, _ridge_loocv_predictions,
                          cluster_features, gamma_fit, kruskal_wallis, pearson, ridge_loocv_r2,
@@ -468,3 +471,95 @@ class TestFoldBlocks:
         y = X[:, 0] - X[:, 2] + 0.1 * rng.standard_normal(20)
         got = _ridge_loocv_predictions(X, y, self.ALPHAS)
         assert np.array_equal(got, ridge_loocv_predictions_fold_loop(X, y, self.ALPHAS))
+
+
+@functools.lru_cache(maxsize=None)
+def swap_case(n: int, k: int, repeats: int, odd_column: float | None = None):
+    """A design, its target, its column permutations drawn as the importance
+    draws them, and the stacked fold loop's predictions of every permuted
+    design at every alpha of the grid (cached: shared by the block sizes)."""
+    rng = np.random.default_rng(100 * n + k)
+    X = rng.standard_normal((n, k))
+    if odd_column is not None:
+        # constant but for one row: a fold that holds that row out sees the
+        # column, and every permutation of it, constant over its training rows
+        X[:, 1] = odd_column
+        X[n // 3, 1] = 2.0 * odd_column
+    y = X @ rng.standard_normal(k) + 0.5 * rng.standard_normal(n)
+    swaps = np.empty((k, repeats, n))
+    for j in range(k):
+        for rep in range(repeats):
+            swaps[j, rep] = rng.permutation(X[:, j])
+    want = ridge_loocv_predictions_fold_loop(permuted_designs(X, swaps), y,
+                                             np.array(RIDGE_ALPHA_GRID))
+    return X, y, swaps, want
+
+
+def assert_close_to_scale(got, want):
+    """rtol 1e-12, with an absolute floor of 1e-12 of the largest |prediction|:
+    a held-out prediction near 0 is the difference of O(1) terms, and one ulp
+    of those is a large relative error of the difference."""
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+class TestSwapKernel:
+    """Permuted designs scored in swap form: X once per fold plus each swapped
+    column's own products, against the stack of whole designs it replaces."""
+
+    ALPHAS = np.array(RIDGE_ALPHA_GRID)
+    BLOCKS = [1, 2 ** 18]  # LOO_BLOCK giving one fold per block, and many
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("repeats", [2, 100])
+    @pytest.mark.parametrize("n", [4, 12, 60])
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_predictions_match_stack(self, monkeypatch, k, n, repeats, block):
+        X, y, swaps, want = swap_case(n, k, repeats)
+        monkeypatch.setattr("jjtls.stats.LOO_BLOCK", block)
+        folds = max(1, block // ((k + k * repeats) * (n - 1)))
+        assert (folds == 1) == (block == 1)
+        got = _ridge_loocv_predictions(X, y, self.ALPHAS, swaps)
+        assert got.shape == (k, repeats, len(self.ALPHAS), n)
+        assert_close_to_scale(got, want)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("repeats", [2, 100])
+    @pytest.mark.parametrize("value", [0.34, 55.3])
+    def test_fold_constant_swapped_column(self, monkeypatch, value, repeats, block):
+        X, y, swaps, want = swap_case(20, 3, repeats, odd_column=value)
+        monkeypatch.setattr("jjtls.stats.LOO_BLOCK", block)
+        got = _ridge_loocv_predictions(X, y, self.ALPHAS, swaps)
+        assert_close_to_scale(got, want)
+
+    @pytest.mark.parametrize("design, alpha, repeats, seed", [
+        ("latent", 1.0, 15, 9), ("latent", None, 100, 2), ("signal", 1e-6, 30, 4),
+        ("null", 1e-3, 20, 0), ("empty", 1.0, 5, 0)])
+    def test_importances_match_stacked_path(self, design, alpha, repeats, seed):
+        rng = np.random.default_rng(seed)
+        if design == "latent":
+            X, y = latent_factor_design(seed, n=24, copies=2)
+        else:
+            X = rng.standard_normal((40, 5 if design != "empty" else 0))
+            y = (X[:, 1] if design == "signal" else 0.0) + 0.05 * rng.standard_normal(40)
+        got = ridge_permutation_importance(X, y, alpha=alpha, repeats=repeats, seed=seed)
+        want = ridge_permutation_importance_stacked(X, y, alpha=alpha, repeats=repeats,
+                                                    seed=seed)
+        # the base fit is the 2-d LOOCV, bit for bit
+        assert (got.ridge_alpha, got.loocv_r2) == (want.ridge_alpha, want.loocv_r2)
+        assert list(got.importances) == list(want.importances)
+        for name, (mean, std) in got.importances.items():
+            assert mean == pytest.approx(want.importances[name][0], rel=1e-12, abs=1e-15)
+            assert std == pytest.approx(want.importances[name][1], rel=1e-12, abs=1e-15)
+
+    def test_survey_sized_design_memory(self):
+        # the stack of 600 permuted 600 x 6 designs alone would be 17 MB
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((600, 6))
+        y = X @ rng.standard_normal(6) + rng.standard_normal(600)
+        tracemalloc.start()
+        try:
+            ridge_permutation_importance(X, y, alpha=1.0, repeats=100, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
