@@ -7,6 +7,7 @@ repeated runs with identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -23,9 +24,9 @@ class Schema:
     """One file that a stage reads or writes.
 
     ``path`` is relative to the run directory; its ``*`` stands for the
-    four-digit trace index or the stage name.  ``fields`` are the CSV
-    columns in order or the JSON top-level keys; a trailing ``?`` marks a
-    key that may be absent.  Entries without fields are figures, text or
+    trace index (four digits or more) or the stage name.  ``fields`` are
+    the CSV columns in order or the JSON top-level keys; a trailing ``?``
+    marks a key that may be absent.  Entries without fields are figures, text or
     nested configs that ``note`` describes.
     """
 
@@ -78,6 +79,10 @@ synthetic measurement campaign (JSON object)
     "trace": _schema("traces/trace_*.csv", "simulate", "detect",
                      "current_mA freq_GHz re_s21 im_s21",
                      "one trace per bias point, numbered in bias-plan order"),
+    "loop_fits": _schema("loop_fits.csv", "simulate", "detect", "current_mA f_r Q_l Q_e_mag "
+                         "theta A alpha phi_v phi_0 residual_metric converged n_evals",
+                         "simulate's fit of each trace in trace order; converged is 1 "
+                         "or 0, a failed fit's residual_metric is inf"),
     "scenario_used": _schema("scenario_used.json", "simulate", "",
                              "resonator flux defects noise_sigma rng_seed",
                              "the simulated scenario, rng_seed set to the run seed"),
@@ -251,18 +256,20 @@ def read_record(path: Path, name: str) -> dict:
     return raw
 
 
-def read_csv(path: Path, name: str, text=()) -> list:
+def read_csv(path: Path, name: str, text=(), data: bytes | None = None,
+             finite: bool = True) -> list:
     """Columns of a CSV of schema ``name`` in table order: float arrays, and
-    lists of stripped strings for the ``text`` columns.  Extra columns are
-    ignored.  An error names the first bad line, checking on a line the
-    column count, then parsing, then finiteness.
+    lists of stripped strings for the ``text`` columns.  ``data`` is the
+    file's bytes if they are already read.  Extra columns are ignored.  An
+    error names the first bad line, checking on a line the column count,
+    then parsing, then (unless not ``finite``) finiteness.
     """
     cols = SCHEMAS[name].fields
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            records = list(reader)
+        data = Path(path).read_bytes() if data is None else data
+        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+        header = next(reader, [])
+        records = list(reader)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})")
     _check_fields(path, name, header, "column(s)")
@@ -288,7 +295,7 @@ def read_csv(path: Path, name: str, text=()) -> list:
             faults.append((len(values), 1, str(exc)))
         out.append(np.array(values))
         bad = np.flatnonzero(~np.isfinite(out[-1]))
-        if bad.size:
+        if finite and bad.size:
             faults.append((bad[0], 2, f"column {c} is not finite"))
     if faults:
         k, _, msg = min(faults, key=lambda f: f[:2])
@@ -348,8 +355,8 @@ def sweep_plan(sweep_cfg: dict, where: str = "sweep") -> list[float]:
     return plan
 
 
-def trace_from_csv(path: Path) -> Trace:
-    bias, freqs, re, im = read_csv(path, "trace")
+def trace_from_csv(path: Path, data: bytes | None = None) -> Trace:
+    bias, freqs, re, im = read_csv(path, "trace", data=data)
     return Trace(freqs=freqs, s21=re + 1j * im, bias_current=float(bias[0]))
 
 

@@ -13,7 +13,8 @@ import json
 from pathlib import Path
 
 from . import __version__
-from .fileio import write_record
+from .errors import SchemaError
+from .fileio import read_record, run_path, write_record
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -22,6 +23,11 @@ def sha256_bytes(data: bytes) -> str:
 
 def sha256_file(path: Path) -> str:
     return sha256_bytes(Path(path).read_bytes())
+
+
+def _listed(outdir: Path, f: Path) -> str:
+    """How a manifest names file ``f``: relative to the run directory if in it."""
+    return str(f.relative_to(outdir)) if f.is_relative_to(outdir) else str(f)
 
 
 def config_hash(config: dict) -> str:
@@ -36,7 +42,7 @@ def write_manifest(outdir: Path, stage: str, config: dict, output_files,
     outputs = []
     for f in sorted(Path(f) for f in output_files):
         outputs.append({
-            "path": str(f.relative_to(outdir)) if f.is_relative_to(outdir) else str(f),
+            "path": _listed(outdir, f),
             "sha256": sha256_file(f),
             "bytes": f.stat().st_size,
         })
@@ -50,3 +56,16 @@ def write_manifest(outdir: Path, stage: str, config: dict, output_files,
     if timings is not None:
         write_record(outdir, "timings", timings, stage)
     return path
+
+
+def vouches(outdir: Path, stage: str, blobs: dict) -> bool:
+    """Whether ``manifest_<stage>.json``, written by this package version,
+    lists every file of ``blobs`` ({path: bytes read from it}) with the
+    sha256 of those bytes; a missing or malformed manifest vouches for none."""
+    try:
+        manifest = read_record(run_path(outdir, "manifest", stage), "manifest")
+        listed = {o["path"]: o["sha256"] for o in manifest["outputs"]}
+    except (SchemaError, OSError, TypeError, KeyError):
+        return False
+    return manifest["package_version"] == __version__ and all(
+        listed.get(_listed(Path(outdir), Path(p))) == sha256_bytes(b) for p, b in blobs.items())

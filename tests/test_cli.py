@@ -3,6 +3,7 @@ import shutil
 from fnmatch import fnmatch
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from jjtls.cli import main
@@ -65,6 +66,8 @@ def all_stages(full_run):
 # the CSV header, or the sorted JSON top-level keys, of every file with fields.
 PINNED_FIELDS = {
     "trace": "current_mA,freq_GHz,re_s21,im_s21",
+    "loop_fits": "current_mA,f_r,Q_l,Q_e_mag,theta,A,alpha,phi_v,phi_0,"
+                 "residual_metric,converged,n_evals",
     "scenario_used": "defects,flux,noise_sigma,resonator,rng_seed",
     "fits": "current_mA,f0_GHz,Ql,Qe,theta,residual_metric,converged",
     "series": "shift_kappa,residual",
@@ -233,14 +236,25 @@ class TestDetect:
         err = capsys.readouterr().err
         assert "trace_0005.csv" in err and ":18" in err
 
-    def test_timings_name_every_phase(self, full_run):
-        _, out = full_run
+    @staticmethod
+    def check_phases(out, source: str) -> None:
         timings = json.loads((out / "timings_detect.json").read_text())
         phases = timings["phases"]
-        assert sorted(phases) == ["build_threshold", "calibrate_noise", "count",
-                                  "fit", "load", "write"]
+        assert sorted(phases) == sorted(["build_threshold", "calibrate_noise", "count",
+                                         "load", source, "write"])
         assert all(t >= 0 for t in phases.values())
         assert sum(phases.values()) <= timings["seconds"]
+
+    def test_timings_name_every_phase(self, full_run):
+        # the fits came from simulate's loop_fits.csv
+        self.check_phases(full_run[1], "loop_fits")
+
+    def test_timings_name_fit_without_loop_fits(self, full_run, tmp_path):
+        cfg, out = full_run
+        shutil.copytree(out, tmp_path / "run")
+        (tmp_path / "run" / "loop_fits.csv").unlink()
+        assert main(["detect", "--config", str(cfg), "--outdir", str(tmp_path / "run")]) == 0
+        self.check_phases(tmp_path / "run", "fit")
 
     def test_residual_plot_emitted(self, full_run):
         _, out = full_run
@@ -286,6 +300,199 @@ class TestDetect:
         assert any(e[2] == "past-maximum" for e in meta["exclusions"])
         rows = (out / "events.csv").read_text().strip().splitlines()[1:]
         assert len(rows) == 1
+
+
+def detect_counting_fits(cfg, out, monkeypatch) -> int:
+    """Run detect on ``out`` and return how many traces it fitted itself."""
+    import jjtls.detector as detector
+
+    calls, fit_next = [], detector.fit_next
+    monkeypatch.setattr(detector, "fit_next",
+                        lambda *args: calls.append(1) or fit_next(*args))
+    assert main(["detect", "--config", str(cfg), "--outdir", str(out)]) == 0
+    monkeypatch.setattr(detector, "fit_next", fit_next)
+    return len(calls)
+
+
+def detect_outputs(out) -> dict:
+    """{path: bytes} of manifest_detect.json and of every file it lists."""
+    manifest = out / "manifest_detect.json"
+    files = [o["path"] for o in json.loads(manifest.read_text())["outputs"]]
+    return {p: (out / p).read_bytes() for p in [manifest.name, *files]}
+
+
+def revouch(out, rel: str) -> None:
+    """Write the sha256 and size of ``rel`` into manifest_simulate.json."""
+    import hashlib
+
+    path = out / "manifest_simulate.json"
+    manifest = json.loads(path.read_text())
+    data = (out / rel).read_bytes()
+    for o in manifest["outputs"]:
+        if o["path"] == rel:
+            o["sha256"], o["bytes"] = hashlib.sha256(data).hexdigest(), len(data)
+    path.write_text(json.dumps(manifest))
+
+
+# fleet-sweeps seed 7, sweep 3: fit 101 of its 120 traces does not converge
+FLEET_7_3 = {
+    "resonator": {"f_r": 5.0, "Q_l": 5000.0, "Q_e_mag": 10000.0, "theta": 0.05,
+                  "A": 0.95, "alpha": 0.1, "phi_v": 1.2, "phi_0": 0.3},
+    "flux": {"f_bare": 5.0, "n_islands": 100, "m_trapped": 0, "flux_per_current": 0.02},
+    "defects": [{"f_tls": f, "g": 0.001, "gamma": 0.001, "temperature": 0.01}
+                for f in (4.989265571290535, 4.972828100102541, 4.981801019641216)],
+    "noise_sigma": 0.005, "rng_seed": 743977526,
+}
+
+
+class TestLoopFits:
+    """detect takes simulate's loop_fits.csv only where simulate's manifest
+    vouches for every byte it read; its outputs are the same either way."""
+
+    @pytest.mark.parametrize("case,reused", [("fixture", True), ("descending", False),
+                                             ("fleet-7-3", True)])
+    def test_reuse_changes_no_output(self, full_run, tmp_path, monkeypatch, case, reused):
+        cfg, out = full_run
+        if case != "fixture":
+            if case == "descending":
+                cfg = write_config(tmp_path, sweep={
+                    "bias_plan": [110.0 - 60.0 * k / 89 for k in range(90)],
+                    "calibration_interval": [75, 89]})
+            else:
+                (tmp_path / "scenario.json").write_text(json.dumps(FLEET_7_3))
+                cfg = write_config(tmp_path, scenario=str(tmp_path / "scenario.json"),
+                                   sweep={"bias_stop": 130.0, "bias_points": 120},
+                                   seed=FLEET_7_3["rng_seed"])
+            out = tmp_path / "sim"
+            assert main(["simulate", "--config", str(cfg), "--outdir", str(out)]) == 0
+        n = len(list((out / "traces").glob("trace_*.csv")))
+        with_table, without = tmp_path / "with", tmp_path / "without"
+        shutil.copytree(out, with_table)
+        shutil.copytree(out, without)
+        (without / "loop_fits.csv").unlink()
+        assert detect_counting_fits(cfg, with_table, monkeypatch) == (0 if reused else n)
+        assert detect_counting_fits(cfg, without, monkeypatch) == n
+        assert detect_outputs(with_table) == detect_outputs(without)
+        if case == "fleet-7-3":
+            converged = (with_table / "fits.csv").read_text().splitlines()[102][-2:]
+            assert converged == ",0"
+
+    def test_failed_fits_round_trip(self, tmp_path):
+        # every field comes back equal, the failed-fit placeholder's inf included
+        from jjtls.fileio import write_csv
+        from jjtls.fitting import FAILED_FIT, FitResult
+        from jjtls.physics import ResonatorParams, Trace
+        from jjtls.pipeline import _fit_columns, _loop_fits
+
+        grid = np.linspace(4.99, 5.01, 16)
+        traces = [Trace(grid, np.ones(16), bias_current=b) for b in (50.0, 50.5, -0.0)]
+        fits = [FAILED_FIT,
+                FitResult(ResonatorParams(4.97191244639, 1043.0056, 4071.49, 0.45, 1.01,
+                                          5.17, -10.585435335786798, 52.67),
+                          float("inf"), False, 200),
+                FitResult(ResonatorParams(5.0 + 1e-15, 5000.0, 1e4, -0.05, 0.95, 0.1,
+                                          1.2, 0.3), 5.157630154687549e-05, True, 6)]
+        path = write_csv(tmp_path, "loop_fits", _fit_columns(traces, fits))
+        back = _loop_fits(path, path.read_bytes(), traces)
+        assert back == fits
+        assert [type(v) for v in vars(back[1].params).values()] == [float] * 8
+        assert path.read_text().splitlines()[1].split(",")[-3:] == ["inf", "0", "0"]
+
+    @staticmethod
+    def edit_trace(out):
+        victim = out / "traces" / "trace_0005.csv"
+        lines = victim.read_text().splitlines()
+        cells = lines[10].split(",")
+        cells[2] = repr(float(cells[2]) + 1e-6)
+        lines[10] = ",".join(cells)
+        victim.write_text("\n".join(lines) + "\n")
+
+    @staticmethod
+    def edit_table(out, drop_row: bool):
+        table = out / "loop_fits.csv"
+        lines = table.read_text().splitlines()
+        if drop_row:
+            del lines[-1]
+        else:
+            lines[1] = "50.125" + lines[1][len("50.0"):]
+        table.write_text("\n".join(lines) + "\n")
+        revouch(out, "loop_fits.csv")
+
+    @pytest.mark.parametrize("case,n_fits", [
+        ("edited trace", 90), ("stale trace", 91), ("fewer traces", 89),
+        ("package version", 90), ("no manifest", 90), ("manifest not json", 90),
+        ("table rows", 90), ("table currents", 90), ("no table", 90)])
+    def test_refusals_fall_back_to_fitting(self, full_run, tmp_path, monkeypatch,
+                                           case, n_fits):
+        cfg, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        manifest = run / "manifest_simulate.json"
+        if case == "edited trace":
+            self.edit_trace(run)
+        elif case == "stale trace":
+            shutil.copy(run / "traces" / "trace_0089.csv", run / "traces" / "trace_0090.csv")
+        elif case == "fewer traces":
+            (run / "traces" / "trace_0089.csv").unlink()
+        elif case == "package version":
+            manifest.write_text(manifest.read_text().replace(
+                '"package_version": "', '"package_version": "0.'))
+        elif case == "no manifest":
+            manifest.unlink()
+        elif case == "manifest not json":
+            manifest.write_text("{")
+        elif case == "no table":
+            (run / "loop_fits.csv").unlink()
+        else:
+            self.edit_table(run, drop_row=case == "table rows")
+        assert detect_counting_fits(cfg, run, monkeypatch) == n_fits
+        phases = json.loads((run / "timings_detect.json").read_text())["phases"]
+        assert "fit" in phases
+        # the table is read only where the manifest vouches for every file
+        assert ("loop_fits" in phases) == (case in ("fewer traces", "table rows",
+                                                    "table currents"))
+        if n_fits == 90 and case != "edited trace":
+            assert detect_outputs(run) == detect_outputs(out)
+
+    def test_vouched_malformed_table_is_one_error(self, full_run, tmp_path, capsys):
+        cfg, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        table = run / "loop_fits.csv"
+        lines = table.read_text().splitlines()
+        lines[4] = "not a number" + lines[4][lines[4].index(","):]
+        table.write_text("\n".join(lines) + "\n")
+        revouch(run, "loop_fits.csv")
+        assert main(["detect", "--config", str(cfg), "--outdir", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert f"{table}:5" in err
+
+
+class TestTraceOrder:
+    def test_index_order_past_9999(self, full_run, tmp_path, monkeypatch):
+        # trace_10000.csv sorts between trace_1000.csv and trace_1001.csv as
+        # text; plan indices (calibration interval, exclusions) count in
+        # index order, so detect must load the files in that order
+        cfg, out = full_run
+        run = tmp_path / "run"
+        (run / "traces").mkdir(parents=True)
+        for k in range(90):
+            shutil.copy(out / "traces" / f"trace_{k:04d}.csv",
+                        run / "traces" / f"trace_{9950 + k}.csv")
+        assert sorted(p.name for p in (run / "traces").iterdir())[0] == "trace_10000.csv"
+        assert detect_counting_fits(cfg, run, monkeypatch) == 90
+        assert detect_outputs(run) == detect_outputs(out)
+
+    def test_name_without_index_is_one_error(self, full_run, tmp_path, capsys):
+        cfg, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out / "traces", run / "traces")
+        shutil.copy(run / "traces" / "trace_0000.csv", run / "traces" / "trace_copy.csv")
+        assert main(["detect", "--config", str(cfg), "--outdir", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "trace_copy.csv" in err
 
 
 class TestInfer:
