@@ -14,8 +14,8 @@ _MODULE_OF = {name: module for module, names in {
                 "curve_follow find_peaks fit_next normalize_axis",
     "errors": "CalibrationError ConvergenceError DegenerateDataError InvalidParameterError "
               "JJTLSError NoResonanceError NumericalError SchemaError ValidationError",
-    "fitting": "BackgroundSplit FitResult FluxParabola background_split estimate_snr "
-               "fit_flux_parabola fit_hanger residual_metric",
+    "fitting": "BackgroundSplit FitResult FluxParabola background_split fit_flux_parabola "
+               "fit_hanger residual_metric",
     "inference": "DensityEstimate DetectorRates DeviceSummary InferenceInput PosteriorDensity "
                  "aggregate_device density marginal_likelihood mle_lambda posterior true_rates",
     "physics": "FluxConfig ResonatorParams Scenario TLSDefect Trace flux_to_freq hanger_s21 "

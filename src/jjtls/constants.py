@@ -1,8 +1,6 @@
 """Physical constants, CODATA 2018 values to 10 significant digits."""
 
-PLANCK_H = 6.626070150e-34     # J s
 HBAR = 1.054571817e-34         # J s
 BOLTZMANN_K = 1.380649000e-23  # J / K
-FLUX_QUANTUM = 2.067833848e-15  # Wb, h / 2e
 
 GHZ = 1e9  # Hz per GHz; frequencies are stored in GHz throughout

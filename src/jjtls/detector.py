@@ -123,7 +123,6 @@ class ResidualSeries:
     residuals: np.ndarray
     kappa: float
     freq_at: np.ndarray       # interpolated resonance frequency, GHz
-    bias_at: np.ndarray       # interpolated bias current, mA
     valid: np.ndarray         # False where the grid crosses an excluded gap
 
     def __post_init__(self):
@@ -141,7 +140,6 @@ class ResidualSeries:
 class DetectionEvent:
     shift_position: float   # kappa units
     peak_residual: float
-    bias_current: float     # mA
     frequency: float        # GHz
 
 
@@ -263,13 +261,12 @@ def normalize_axis(sweep: SweepDataset, kappa: float | None = None) -> ResidualS
     # keep the interpolation abscissa strictly increasing
     keep = np.concatenate([[True], np.diff(cum) > 0])
     cum_k, res_k = cum[keep], res[keep]
-    f_k, bias_k, idx_k = f_model[keep], bias[keep], idx[keep]
+    f_k, idx_k = f_model[keep], idx[keep]
 
     n_grid = int(math.floor(total / GRID_STEP + 1e-9)) + 1
     grid = np.arange(n_grid) * GRID_STEP
     series = np.interp(grid, cum_k, res_k)
     freq_at = np.interp(grid, cum_k, f_k)
-    bias_at = np.interp(grid, cum_k, bias_k)
 
     # a grid point is valid if it coincides with a measured sample or its
     # bracketing samples are adjacent in the original sweep (no gap between)
@@ -279,7 +276,7 @@ def normalize_axis(sweep: SweepDataset, kappa: float | None = None) -> ResidualS
     at_node = np.abs(grid - cum_k[pos]) <= 1e-9
     valid = adjacent | at_node
     return ResidualSeries(shift_axis=grid, residuals=np.maximum(series, 0.0),
-                          kappa=kappa, freq_at=freq_at, bias_at=bias_at, valid=valid)
+                          kappa=kappa, freq_at=freq_at, valid=valid)
 
 
 @dataclass(frozen=True)
@@ -417,11 +414,10 @@ def _bisect_sigma(median_metric, measured: float, sigma: float) -> float:
         f"in {NOISE_MAX_ITER} iterations")
 
 
-def critical_tls(params: ResonatorParams, *, temperature: float = 0.010) -> TLSDefect:
+def critical_tls(params: ResonatorParams) -> TLSDefect:
     """Minimally detectable TLS: g = kappa/2, gamma = kappa, detuning kappa/2."""
     kappa = params.kappa
-    return TLSDefect(f_tls=params.f_r + kappa / 2.0, g=kappa / 2.0,
-                     gamma=kappa, temperature=temperature)
+    return TLSDefect(f_tls=params.f_r + kappa / 2.0, g=kappa / 2.0, gamma=kappa)
 
 
 def _gaussian_intersection(mu1: float, s1: float, mu2: float, s2: float) -> float:
@@ -442,8 +438,7 @@ def _gaussian_intersection(mu1: float, s1: float, mu2: float, s2: float) -> floa
 
 def build_threshold(params: ResonatorParams, noise_sigma: float,
                     ensemble_size: int = 5000, *, seed: int = 0,
-                    n_points: int = 201,
-                    temperature: float = 0.010) -> DetectorCalibration:
+                    n_points: int = 201) -> DetectorCalibration:
     """Calibrate the detection threshold against the critical TLS.
 
     Simulates ``ensemble_size`` noisy traces without coupling and the same
@@ -468,7 +463,7 @@ def build_threshold(params: ResonatorParams, noise_sigma: float,
     kappa = params.kappa
     grid = np.linspace(params.f_r - CAL_SPAN / 2 * kappa,
                        params.f_r + CAL_SPAN / 2 * kappa, n_points)
-    tls = critical_tls(params, temperature=temperature)
+    tls = critical_tls(params)
 
     rng = np.random.default_rng([seed, RNG_THRESHOLD])
 
@@ -546,7 +541,6 @@ def find_peaks(series: ResidualSeries, calib: DetectorCalibration) -> list[Detec
     kept.sort()
     return [DetectionEvent(shift_position=float(series.shift_axis[i]),
                            peak_residual=float(smooth[i]),
-                           bias_current=float(series.bias_at[i]),
                            frequency=float(series.freq_at[i]))
             for i in kept]
 

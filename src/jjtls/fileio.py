@@ -64,7 +64,7 @@ pipeline config passed as --config (JSON object)
     calibration_interval: [first, last] bias indices of the TLS-free region
     exclusions: [[first, last], ...] manual collision intervals (optional)
   }
-  detector:  {ensemble_size?: int >= 1000, temperature?: K}   optional
+  detector:  {ensemble_size?: int >= 1000}   optional
   inference: {area: junction area (um^2), delta_f?: GHz (default: swept range)}
   seed:      root seed for all synthetic randomness (integer >= 0)"""),
     "scenario": _schema("scenario.json", "", "simulate", "", """\

@@ -14,9 +14,9 @@ from .errors import (DegenerateDataError, InvalidParameterError, NoResonanceErro
                      ValidationError)
 from .physics import Hanger, ResonatorParams, Trace
 
-SNR_CAP = 1e12
 SPLIT_REL_FLOOR = 0.1     # resonance region: derivative variance >= this * peak
 SPLIT_DEPTH_SNR = 3.5     # dip depth must exceed this many background stds
+MAX_NFEV = 200            # fit_hanger: residual evaluations per solver
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,6 @@ class BackgroundSplit:
     @property
     def background_mask(self) -> np.ndarray:
         return ~self.resonance_mask
-
-    @property
-    def bounds(self) -> tuple[int, int]:
-        idx = np.flatnonzero(self.resonance_mask)
-        return int(idx[0]), int(idx[-1])
 
 
 @dataclass(frozen=True)
@@ -189,8 +184,7 @@ def _seed_from_background(trace: Trace, split: BackgroundSplit) -> np.ndarray:
     return np.array([f_r0, Q_l0, Q_e0, 0.0, A0, alpha0, phi_v0, phi_00])
 
 
-def fit_hanger(trace: Trace, init: ResonatorParams | None = None,
-               *, max_nfev: int = 200) -> FitResult:
+def fit_hanger(trace: Trace, init: ResonatorParams | None = None) -> FitResult:
     """Least-squares fit of the hanger model to a complex trace.
 
     Without an explicit initial guess, seeds come from the background
@@ -224,12 +218,12 @@ def fit_hanger(trace: Trace, init: ResonatorParams | None = None,
     try:
         popt, _, info, _, ier = leastsq(hanger.residuals, p0, Dfun=hanger.jacobian,
                                         full_output=True, col_deriv=True, ftol=1e-10,
-                                        xtol=1e-12, gtol=1e-12, maxfev=max_nfev)
+                                        xtol=1e-12, gtol=1e-12, maxfev=MAX_NFEV)
         fun, nfev, success = info["fvec"], int(info["nfev"]), ier in (1, 2, 3, 4)
         if not (success and ((lower <= popt) & (popt <= upper)).all()):
             res = least_squares(hanger.residuals, p0, jac=lambda p: hanger.jacobian(p).T,
                                 method="trf", bounds=(lower, upper), x_scale="jac",
-                                ftol=1e-10, xtol=1e-12, gtol=1e-12, max_nfev=max_nfev)
+                                ftol=1e-10, xtol=1e-12, gtol=1e-12, max_nfev=MAX_NFEV)
             popt, fun, nfev, success = res.x, res.fun, int(res.nfev), bool(res.success)
     except (ValueError, np.linalg.LinAlgError):
         popt, fun, nfev, success = p0, hanger.residuals(p0), 0, False
@@ -244,42 +238,6 @@ def fit_hanger(trace: Trace, init: ResonatorParams | None = None,
     converged = success and math.isfinite(metric) and params.kappa >= span / (f.size - 1)
     return FitResult(params=params, residual_metric=metric, converged=converged,
                      n_evals=nfev)
-
-
-def estimate_snr(trace: Trace) -> float:
-    """Dip depth over background noise std, capped at 1e12.
-
-    The noise level comes from second differences of |S21| over the
-    background region (variance 6 sigma^2 for white noise), taken outside
-    a guard band of one region width so the Lorentzian tails stay out of
-    the figure.  When the fourth-difference estimate collapses relative to
-    the second-difference one, the data are smoother than the estimator
-    floor (noiseless for practical purposes) and the cap is returned.
-    """
-    split = background_split(trace)  # propagates NoResonanceError
-    mag = np.abs(trace.s21)
-    smooth = split.smooth
-    bg = split.background_mask
-    level = float(np.median(smooth[bg]))
-    depth = level - float(np.min(smooth[split.resonance_mask]))
-    i0, i1 = split.bounds
-    guard = i1 - i0 + 1
-    left = mag[:max(i0 - guard, 0)]
-    right = mag[i1 + 1 + guard:]
-
-    def hf_sigma(order: int, var_factor: float) -> float:
-        d = np.concatenate([np.diff(left, order) if left.size > order else np.empty(0),
-                            np.diff(right, order) if right.size > order else np.empty(0)])
-        if d.size >= 8:
-            return 1.4826 * float(np.median(np.abs(d - np.median(d)))) / math.sqrt(var_factor)
-        if d.size:
-            return float(np.std(d)) / math.sqrt(var_factor)
-        return 0.0
-
-    noise = hf_sigma(2, 6.0)
-    if noise <= 0 or hf_sigma(4, 70.0) < 0.3 * noise:
-        return SNR_CAP
-    return min(depth / noise, SNR_CAP)
 
 
 @dataclass(frozen=True)

@@ -153,23 +153,20 @@ def marginal_likelihood(n_m: int, n_bins: int, rates: DetectorRates,
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def mle_lambda(n_m: int, n_bins: int, rates: DetectorRates,
-               *, rel_tol: float = 1e-6) -> float:
+def mle_lambda(n_m: int, n_bins: int, rates: DetectorRates) -> float:
     """Golden-section maximizer of the marginal likelihood on [0, B]."""
     InferenceInput(n_detected=n_m, n_bins=n_bins, rates=rates)
-    return _golden_lambda(likelihood_vector(n_m, n_bins, rates), *_poisson_terms(n_bins),
-                          rel_tol)
+    return _golden_lambda(likelihood_vector(n_m, n_bins, rates), *_poisson_terms(n_bins))
 
 
-def _golden_lambda(lvec: np.ndarray, k: np.ndarray, log_kfact: np.ndarray,
-                   rel_tol: float = 1e-6) -> float:
-    """Golden-section maximizer on [0, B] given the count likelihood vector
-    and the prior's rate-free terms from :func:`_poisson_terms`."""
+def _golden_lambda(lvec: np.ndarray, k: np.ndarray, log_kfact: np.ndarray) -> float:
+    """Golden-section maximizer on [0, B], to 1e-6 relative, given the count
+    likelihood vector and the prior's rate-free terms from :func:`_poisson_terms`."""
     a, b = 0.0, float(lvec.size - 1)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = _marginal(c, lvec, k, log_kfact), _marginal(d, lvec, k, log_kfact)
-    while b - a > rel_tol * max(1.0, b):
+    while b - a > 1e-6 * max(1.0, b):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -196,13 +193,8 @@ class PosteriorDensity:
         if self.lambda_star < 0 or self.ci68[0] > self.ci68[1]:
             raise ValidationError("invalid posterior summary")
 
-    @property
-    def n_bins(self) -> int:
-        return int(self.pmf.size - 1)
 
-
-def _interpolated_ci(pmf: np.ndarray, mass_lo: float = _Q_LO,
-                     mass_hi: float = _Q_HI) -> tuple[float, float]:
+def _interpolated_ci(pmf: np.ndarray) -> tuple[float, float]:
     """Central credible interval of the linearly interpolated density.
 
     Knots sit at the integer counts with zero anchors half a bin beyond
@@ -219,8 +211,8 @@ def _interpolated_ci(pmf: np.ndarray, mass_lo: float = _Q_LO,
     if cdf[-1] <= 0:
         raise NumericalError("interpolated posterior has zero mass")
     cdf /= cdf[-1]
-    lo = float(np.interp(mass_lo, cdf, xs))
-    hi = float(np.interp(mass_hi, cdf, xs))
+    lo = float(np.interp(_Q_LO, cdf, xs))
+    hi = float(np.interp(_Q_HI, cdf, xs))
     return max(0.0, lo), min(float(B), hi)
 
 
@@ -280,7 +272,6 @@ class DeviceSummary:
     rho_mean: float
     sigma_plus: float
     sigma_minus: float
-    n_resonators: int
 
 
 def aggregate_device(estimates) -> DeviceSummary:
@@ -295,4 +286,4 @@ def aggregate_device(estimates) -> DeviceSummary:
     rho = sum(e.rho for e in ests) / n
     sp = math.sqrt(sum(e.sigma_plus ** 2 for e in ests)) / n
     sm = math.sqrt(sum(e.sigma_minus ** 2 for e in ests)) / n
-    return DeviceSummary(rho_mean=rho, sigma_plus=sp, sigma_minus=sm, n_resonators=n)
+    return DeviceSummary(rho_mean=rho, sigma_plus=sp, sigma_minus=sm)

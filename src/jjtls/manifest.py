@@ -58,14 +58,25 @@ def write_manifest(outdir: Path, stage: str, config: dict, output_files,
     return path
 
 
+def _outputs(outdir: Path, stage: str) -> tuple[str, dict] | None:
+    """(package version, {listed path: sha256}) of manifest_<stage>.json; None if unreadable."""
+    try:
+        manifest = read_record(run_path(outdir, "manifest", stage), "manifest")
+        return manifest["package_version"], {o["path"]: o["sha256"] for o in manifest["outputs"]}
+    except (SchemaError, OSError, TypeError, KeyError):
+        return None
+
+
+def unlisted(outdir: Path, stage: str, files) -> list:
+    """The ``files`` that a readable ``manifest_<stage>.json`` does not list."""
+    got = _outputs(outdir, stage)
+    return [] if got is None else [f for f in files if _listed(Path(outdir), Path(f)) not in got[1]]
+
+
 def vouches(outdir: Path, stage: str, blobs: dict) -> bool:
     """Whether ``manifest_<stage>.json``, written by this package version,
     lists every file of ``blobs`` ({path: bytes read from it}) with the
     sha256 of those bytes; a missing or malformed manifest vouches for none."""
-    try:
-        manifest = read_record(run_path(outdir, "manifest", stage), "manifest")
-        listed = {o["path"]: o["sha256"] for o in manifest["outputs"]}
-    except (SchemaError, OSError, TypeError, KeyError):
-        return False
-    return manifest["package_version"] == __version__ and all(
+    version, listed = _outputs(outdir, stage) or (None, {})
+    return version == __version__ and all(
         listed.get(_listed(Path(outdir), Path(p))) == sha256_bytes(b) for p, b in blobs.items())

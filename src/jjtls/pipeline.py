@@ -20,7 +20,7 @@ from .fileio import (SCHEMAS, calibration_from_dict, checked_seed, load_scenario
                      read_csv, read_densities_csv, read_json, read_morphology_csv,
                      read_record, run_path, sweep_plan, trace_from_csv,
                      write_csv, write_record, write_text)
-from .manifest import vouches, write_manifest
+from .manifest import unlisted, vouches, write_manifest
 
 
 def load_pipeline_config(path: Path) -> dict:
@@ -96,6 +96,8 @@ def cmd_simulate(cfg: dict, outdir: Path) -> dict:
     from .physics import scenario_instrument
     clock = _Clock()
     outdir = Path(outdir)
+    if any(outdir.glob(SCHEMAS["trace"].path)):
+        raise ValidationError(f"{outdir / 'traces'} holds another run's traces; use a new --outdir")
     scenario = load_scenario(_resolve(cfg, cfg["scenario"]))
     scenario = replace(scenario, rng_seed=cfg["seed"])
     sweep_cfg = cfg["sweep"]
@@ -124,10 +126,15 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
     from .svgplot import Panel, render
     clock = _Clock()
     outdir = Path(outdir)
+    det_cfg = cfg.get("detector", {})
+    if extra := sorted(set(det_cfg) - {"ensemble_size"}):
+        raise SchemaError(f"detector.{extra[0]}: unknown key; detector takes ensemble_size only")
     trace_files = sorted(outdir.glob(SCHEMAS["trace"].path), key=_trace_index)
     if not trace_files:
         raise SchemaError(f"no trace files {outdir / SCHEMAS['trace'].path}; "
                           "run simulate first or point --outdir at recorded data")
+    if stray := unlisted(outdir, "simulate", trace_files):
+        raise SchemaError(f"{stray[0]}: a trace that manifest_simulate.json does not list")
     table = run_path(outdir, "loop_fits")
     with clock.phase("load"):
         blobs = {p: p.read_bytes() for p in trace_files}
@@ -173,7 +180,6 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
             f"calibration region not flat: max/median = {flatness:.2f} >= 2")
     baseline_i = cal_idx[int(np.argsort(cal_res)[len(cal_res) // 2])]
     seed = cfg["seed"]
-    det_cfg = cfg.get("detector", {})
     with clock.phase("calibrate_noise"):
         noise_sigma = calibrate_noise(traces[baseline_i], fits[baseline_i], seed=seed)
 
@@ -183,9 +189,7 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
     with clock.phase("build_threshold"):
         calib = build_threshold(cal_params, noise_sigma,
                                 ensemble_size=int(det_cfg.get("ensemble_size", 5000)),
-                                seed=seed,
-                                temperature=float(det_cfg.get("temperature", 0.010)),
-                                n_points=len(traces[baseline_i]))
+                                seed=seed, n_points=len(traces[baseline_i]))
     with clock.phase("count"):
         count = count_sweep(sweep, calib)
     series, events = count.series, count.events
@@ -276,7 +280,7 @@ def cmd_infer(cfg: dict, outdir: Path) -> dict:
                    xlabel="N_T", ylabel="P(N_T | N_m)")
     ks = np.arange(show + 1)
     bottom.add_line(ks, post.pmf[:show + 1], "posterior")
-    bottom.add_vspan(post.ci68[0], post.ci68[1], "68.27% CI")
+    bottom.add_vspan(post.ci68[0], post.ci68[1])
     files.append(write_text(outdir, "posterior_plot", render([top, bottom])))
 
     write_manifest(outdir, "infer", _config_for_hash(cfg), files,

@@ -308,7 +308,6 @@ def cluster_features(features, target) -> ClusterSelection:
 class RegressionReport:
     """Ridge model quality and permutation importances of its features."""
 
-    feature_names: tuple[str, ...]
     ridge_alpha: float
     loocv_r2: float
     importances: dict[str, tuple[float, float]]  # name -> (mean drop, std)
@@ -317,10 +316,10 @@ class RegressionReport:
         return sorted(self.importances, key=lambda k: -self.importances[k][0])
 
 
-def ridge_permutation_importance(features, target, *, alpha: float | None = None,
+def ridge_permutation_importance(features, target, *, alpha: float,
                                  repeats: int = 100, seed: int = 0,
                                  feature_names=None) -> RegressionReport:
-    """Mean LOOCV-R^2 drop when one feature column is shuffled.
+    """Mean LOOCV-R^2 drop at ridge ``alpha`` when one feature column is shuffled.
 
     Columns are shuffled ``repeats`` times each with a seeded generator;
     importances are (mean drop, sample std of drops), so ``repeats`` >= 2.
@@ -338,17 +337,15 @@ def ridge_permutation_importance(features, target, *, alpha: float | None = None
     if repeats < 2:
         raise ValidationError(f"repeats must be >= 2 for a std of the drops, got {repeats}")
 
-    a = alpha if alpha is not None else _select_alpha(X, y)[0]
-    base = float(ridge_loocv_r2(X, y, a))
+    base = float(ridge_loocv_r2(X, y, alpha))
     rng = np.random.default_rng(seed)
     swaps = np.empty((k, repeats, n))
     for j in range(k):
         for rep in range(repeats):
             swaps[j, rep] = rng.permutation(X[:, j])
-    preds = _ridge_loocv_predictions(X, y, np.array([a], dtype=float), swaps)[..., 0, :]
+    preds = _ridge_loocv_predictions(X, y, np.array([alpha], dtype=float), swaps)[..., 0, :]
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     drops = base - (1.0 - np.sum((y - preds) ** 2, axis=-1) / ss_tot)
     importances = {name: (float(d.mean()), float(d.std(ddof=1)))
                    for name, d in zip(feature_names, drops)}
-    return RegressionReport(feature_names=feature_names, ridge_alpha=a,
-                            loocv_r2=base, importances=importances)
+    return RegressionReport(ridge_alpha=alpha, loocv_r2=base, importances=importances)

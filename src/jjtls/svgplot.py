@@ -54,7 +54,7 @@ class Panel:
     points: list = field(default_factory=list)   # (xs, ys, label)
     bars: list = field(default_factory=list)     # (labels, values) pairs
     hlines: list = field(default_factory=list)   # (y, label)
-    vspans: list = field(default_factory=list)   # (x0, x1, label)
+    vspans: list = field(default_factory=list)   # (x0, x1)
     logy: bool = False
 
     def add_line(self, xs, ys, label=""):
@@ -66,8 +66,8 @@ class Panel:
     def add_hline(self, y, label=""):
         self.hlines.append((float(y), label))
 
-    def add_vspan(self, x0, x1, label=""):
-        self.vspans.append((float(x0), float(x1), label))
+    def add_vspan(self, x0, x1):
+        self.vspans.append((float(x0), float(x1)))
 
     def add_bars(self, labels, values):
         self.bars.append(([str(l) for l in labels], [float(v) for v in values]))
@@ -136,7 +136,7 @@ def render(panels) -> str:
         if panel.title:
             out.append(f'<text class="t" x="{px0}" y="{py0 - 10}">{panel.title}</text>')
 
-        for xx0, xx1, label in panel.vspans:
+        for xx0, xx1 in panel.vspans:
             a, b = sorted((max(x0, xx0), min(x1, xx1)))
             out.append(f'<rect x="{_fmt(X(a))}" y="{py0}" width="{_fmt(max(X(b) - X(a), 1.0))}" '
                        f'height="{py1 - py0}" fill="#ddd" opacity="0.6"/>')

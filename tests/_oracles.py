@@ -60,7 +60,7 @@ def forward_detections(n_t: int, n_bins: int, FP: float, FN: float,
 
 
 def exact_threshold(params, noise_sigma: float, ensemble_size: int, seed: int = 0,
-                    n_points: int = 201, temperature: float = 0.010):
+                    n_points: int = 201):
     """build_threshold by one warm-started nonlinear refit per ensemble member.
 
     The noise ensemble, then the critical-TLS ensemble, each member drawing
@@ -78,7 +78,7 @@ def exact_threshold(params, noise_sigma: float, ensemble_size: int, seed: int = 
     kappa = params.kappa
     grid = np.linspace(params.f_r - CAL_SPAN / 2 * kappa,
                        params.f_r + CAL_SPAN / 2 * kappa, n_points)
-    tls = critical_tls(params, temperature=temperature)
+    tls = critical_tls(params)
     rng = np.random.default_rng([seed, RNG_THRESHOLD])
 
     def ensemble_metrics(model):
@@ -284,6 +284,46 @@ def fit_hanger_lm(trace, init=None, *, max_nfev: int = 200):
     return fit_hanger_trf(trace, init, max_nfev=max_nfev)
 
 
+def estimate_snr(trace) -> float:
+    """Dip depth over background noise std, capped at 1e12.
+
+    The noise level comes from second differences of |S21| over the
+    background region (variance 6 sigma^2 for white noise), taken outside
+    a guard band of one region width so the Lorentzian tails stay out of
+    the figure.  When the fourth-difference estimate collapses relative to
+    the second-difference one, the data are smoother than the estimator
+    floor (noiseless for practical purposes) and the cap is returned.
+    Raises NoResonanceError where the background split finds no resonance.
+    """
+    from jjtls.fitting import background_split
+
+    cap = 1e12
+    split = background_split(trace)
+    mag = np.abs(trace.s21)
+    smooth = split.smooth
+    level = float(np.median(smooth[split.background_mask]))
+    depth = level - float(np.min(smooth[split.resonance_mask]))
+    idx = np.flatnonzero(split.resonance_mask)
+    i0, i1 = int(idx[0]), int(idx[-1])
+    guard = i1 - i0 + 1
+    left = mag[:max(i0 - guard, 0)]
+    right = mag[i1 + 1 + guard:]
+
+    def hf_sigma(order: int, var_factor: float) -> float:
+        d = np.concatenate([np.diff(left, order) if left.size > order else np.empty(0),
+                            np.diff(right, order) if right.size > order else np.empty(0)])
+        if d.size >= 8:
+            return 1.4826 * float(np.median(np.abs(d - np.median(d)))) / np.sqrt(var_factor)
+        if d.size:
+            return float(np.std(d)) / np.sqrt(var_factor)
+        return 0.0
+
+    noise = hf_sigma(2, 6.0)
+    if noise <= 0 or hf_sigma(4, 70.0) < 0.3 * noise:
+        return cap
+    return min(depth / noise, cap)
+
+
 def ridge_loocv_predictions_loop(X: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     """Honest LOOCV: standardization and fit are redone per fold."""
     n, k = X.shape
@@ -344,14 +384,14 @@ def permuted_designs(X: np.ndarray, swaps: np.ndarray) -> np.ndarray:
     return stack
 
 
-def ridge_permutation_importance_stacked(features, target, *, alpha: float | None = None,
+def ridge_permutation_importance_stacked(features, target, *, alpha: float,
                                          repeats: int = 100, seed: int = 0,
                                          feature_names=None):
     """The stacked permutation importance that the swap-form LOOCV replaces, as
     it was: every shuffled design copied whole into one (k, repeats, n, k)
     stack and scored by the stacked LOOCV."""
     from jjtls.errors import ValidationError
-    from jjtls.stats import RegressionReport, _select_alpha, ridge_loocv_r2
+    from jjtls.stats import RegressionReport, ridge_loocv_r2
 
     X = np.asarray(features, dtype=float)
     y = np.asarray(target, dtype=float)
@@ -366,18 +406,16 @@ def ridge_permutation_importance_stacked(features, target, *, alpha: float | Non
     if repeats < 2:
         raise ValidationError(f"repeats must be >= 2 for a std of the drops, got {repeats}")
 
-    a = alpha if alpha is not None else _select_alpha(X, y)[0]
-    base = float(ridge_loocv_r2(X, y, a))
+    base = float(ridge_loocv_r2(X, y, alpha))
     rng = np.random.default_rng(seed)
     shuffled = np.broadcast_to(X, (k, repeats, n, k)).copy()
     for j in range(k):
         for rep in range(repeats):
             shuffled[j, rep, :, j] = rng.permutation(X[:, j])
-    drops = base - ridge_loocv_r2(shuffled, y, a)
+    drops = base - ridge_loocv_r2(shuffled, y, alpha)
     importances = {name: (float(d.mean()), float(d.std(ddof=1)))
                    for name, d in zip(feature_names, drops)}
-    return RegressionReport(feature_names=feature_names, ridge_alpha=a,
-                            loocv_r2=base, importances=importances)
+    return RegressionReport(ridge_alpha=alpha, loocv_r2=base, importances=importances)
 
 
 def ridge_loocv_predictions_fold_loop(X: np.ndarray, y: np.ndarray, alphas) -> np.ndarray:

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import enumerate_detection_pmf, forward_detections, mc_peak_rates
+from _oracles import (enumerate_detection_pmf, estimate_snr, forward_detections,
+                      mc_peak_rates)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -107,7 +108,6 @@ def _closed_loop_calibration(res, noise_sigma, span, n_points, seed):
 
 def test_criterion_4_closed_loop_detection():
     from jjtls.detector import apply_exclusions, count_sweep, curve_follow
-    from jjtls.fitting import estimate_snr
     from jjtls.inference import InferenceInput, posterior, true_rates
     from jjtls.physics import (FluxConfig, ResonatorParams, Scenario, TLSDefect,
                                flux_to_freq, scenario_instrument)

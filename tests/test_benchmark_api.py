@@ -81,3 +81,29 @@ def test_workload_calls_resolve():
     missing += sorted(f"{mod}.{name}" for mod, name in imported
                       if not hasattr(importlib.import_module(mod), name))
     assert not missing, f"perfbench/workloads.py uses missing names: {missing}"
+
+
+def test_every_lazy_name_has_a_reader():
+    # a public name that no stage reads and the benchmark does not bind is
+    # surface without a caller: it goes, or moves to tests/_oracles.py
+    tracer = ast.parse((PERFBENCH / "tracer.py").read_text())
+    bound = {name for _, name, _ in ast.literal_eval(next(
+        n.value for n in tracer.body if isinstance(n, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in n.targets)))}
+    workloads = ast.parse((PERFBENCH / "workloads.py").read_text())
+    bound |= {n.attr for n in ast.walk(workloads) if isinstance(n, ast.Attribute)
+              and isinstance(n.value, ast.Name) and n.value.id == "jjtls"}
+    bound |= {alias.name for n in ast.walk(workloads) if isinstance(n, ast.ImportFrom)
+              and n.module and n.module.startswith("jjtls") for alias in n.names}
+    src = Path(jjtls.__file__).resolve().parent
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    unread = []
+    for name, module in jjtls._MODULE_OF.items():
+        own = [range(n.lineno, n.end_lineno + 1) for n in trees[module].body
+               if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name]
+        read = any(isinstance(n, ast.Name) and n.id == name
+                   and not (stem == module and any(n.lineno in r for r in own))
+                   for stem, tree in trees.items() for n in ast.walk(tree))
+        if not (read or name in bound):
+            unread.append(f"{module}.{name}")
+    assert not unread, f"public names that nothing in src/jjtls or perfbench reads: {unread}"

@@ -261,6 +261,18 @@ class TestDetect:
         svg = (out / "residuals.svg").read_text()
         assert svg.startswith("<svg") and "threshold" in svg
 
+    def test_unknown_detector_key_is_one_error(self, full_run, tmp_path, capsys):
+        # the critical TLS sits at TLSDefect's 10 mK, so a config that still sets a
+        # temperature fails rather than run at 10 mK unnoticed
+        _, out = full_run
+        shutil.copytree(out, tmp_path / "run")
+        cfg = write_config(tmp_path, detector={"temperature": 0.05})
+        assert main(["detect", "--config", str(cfg), "--outdir", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: detector.temperature")
+        assert len(err.strip().splitlines()) == 1
+        assert detect_outputs(tmp_path / "run") == detect_outputs(out)
+
     def test_calibration_failure_preserves_partial_outputs(self, full_run,
                                                            tmp_path):
         # calibration interval sitting on a defect crossing is not flat:
@@ -419,7 +431,7 @@ class TestLoopFits:
         revouch(out, "loop_fits.csv")
 
     @pytest.mark.parametrize("case,n_fits", [
-        ("edited trace", 90), ("stale trace", 91), ("fewer traces", 89),
+        ("edited trace", 90), ("fewer traces", 89),
         ("package version", 90), ("no manifest", 90), ("manifest not json", 90),
         ("table rows", 90), ("table currents", 90), ("no table", 90)])
     def test_refusals_fall_back_to_fitting(self, full_run, tmp_path, monkeypatch,
@@ -430,8 +442,6 @@ class TestLoopFits:
         manifest = run / "manifest_simulate.json"
         if case == "edited trace":
             self.edit_trace(run)
-        elif case == "stale trace":
-            shutil.copy(run / "traces" / "trace_0089.csv", run / "traces" / "trace_0090.csv")
         elif case == "fewer traces":
             (run / "traces" / "trace_0089.csv").unlink()
         elif case == "package version":
@@ -467,6 +477,46 @@ class TestLoopFits:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert f"{table}:5" in err
+
+
+def run_files(run) -> dict:
+    """{path: bytes} of every file under ``run``."""
+    return {p: p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()}
+
+
+class TestOneRunPerDirectory:
+    """A run directory holds one simulate run: simulate does not write over
+    another run's traces, and detect reads only the traces simulate listed."""
+
+    def test_resimulation_refused(self, full_run, tmp_path, capsys):
+        # the fixture's 90 traces, then a 60-point plan into the same directory:
+        # trace_0060 .. trace_0089 of the first plan would join the second sweep
+        _, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        before = run_files(run)
+        cfg = write_config(tmp_path, sweep={"bias_points": 60, "bias_stop": 90.0})
+        assert main(["simulate", "--config", str(cfg), "--outdir", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert str(run / "traces") in err
+        assert run_files(run) == before
+
+    def test_detect_refuses_unlisted_trace(self, full_run, tmp_path, capsys,
+                                           monkeypatch):
+        cfg, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        stale = run / "traces" / "trace_0090.csv"
+        shutil.copy(run / "traces" / "trace_0089.csv", stale)
+        before = run_files(run)
+        assert main(["detect", "--config", str(cfg), "--outdir", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {stale}:") and len(err.strip().splitlines()) == 1
+        assert run_files(run) == before
+        # recorded data without a manifest reads as before: all 91 traces
+        (run / "manifest_simulate.json").unlink()
+        assert detect_counting_fits(cfg, run, monkeypatch) == 91
 
 
 class TestTraceOrder:
@@ -645,7 +695,8 @@ class TestStartup:
             "       getattr(importlib.import_module('jjtls.' + module), name)\n"
             "       or name not in listed]\n"
             "print(json.dumps({'names': len(jjtls._MODULE_OF), 'bad': bad}))\n")
-        assert result == {"names": 54, "bad": []}   # the names exported before they were lazy
+        # the names exported before they were lazy, less estimate_snr (now a test oracle)
+        assert result == {"names": 53, "bad": []}
 
     def test_unknown_attribute_raises(self):
         result = in_fresh_interpreter(

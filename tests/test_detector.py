@@ -605,7 +605,7 @@ def make_series(residuals, valid=None):
     n = r.size
     grid = np.arange(n) * 0.25
     return ResidualSeries(shift_axis=grid, residuals=r, kappa=KAPPA,
-                          freq_at=5.0 - grid * KAPPA, bias_at=grid,
+                          freq_at=5.0 - grid * KAPPA,
                           valid=np.ones(n, bool) if valid is None else np.asarray(valid))
 
 

@@ -11,7 +11,7 @@ from _oracles import (permutation_importance_loop, permuted_designs,
                       ridge_loocv_predictions_loop, ridge_loocv_r2_loop,
                       ridge_permutation_importance_stacked)
 from jjtls.errors import DegenerateDataError, ValidationError
-from jjtls.stats import (LOO_BLOCK, RIDGE_ALPHA_GRID, _ridge_loocv_predictions,
+from jjtls.stats import (LOO_BLOCK, RIDGE_ALPHA_GRID, _ridge_loocv_predictions, _select_alpha,
                          cluster_features, gamma_fit, kruskal_wallis, pearson, ridge_loocv_r2,
                          ridge_permutation_importance, shapiro_wilk, spearman)
 
@@ -541,6 +541,8 @@ class TestSwapKernel:
         else:
             X = rng.standard_normal((40, 5 if design != "empty" else 0))
             y = (X[:, 1] if design == "signal" else 0.0) + 0.05 * rng.standard_normal(40)
+        if alpha is None:  # the alpha that cluster_features selects for this design
+            alpha = _select_alpha(X, y)[0]
         got = ridge_permutation_importance(X, y, alpha=alpha, repeats=repeats, seed=seed)
         want = ridge_permutation_importance_stacked(X, y, alpha=alpha, repeats=repeats,
                                                     seed=seed)
