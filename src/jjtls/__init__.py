@@ -17,7 +17,7 @@ _MODULE_OF = {name: module for module, names in {
     "fitting": "BackgroundSplit FitResult FluxParabola background_split fit_flux_parabola "
                "fit_hanger residual_metric",
     "inference": "DensityEstimate DetectorRates DeviceSummary InferenceInput PosteriorDensity "
-                 "aggregate_device density marginal_likelihood mle_lambda posterior true_rates",
+                 "aggregate_device density mle_lambda posterior true_rates",
     "physics": "FluxConfig ResonatorParams Scenario TLSDefect Trace flux_to_freq hanger_s21 "
                "scenario_instrument synth_trace thermal_population tls_s21 virtual_measure",
 }.items() for name in names.split()}

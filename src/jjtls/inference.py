@@ -134,22 +134,6 @@ def _marginal(lam: float, lvec: np.ndarray, k: np.ndarray, log_kfact: np.ndarray
     return float(np.dot(np.exp(_log_truncated_poisson(lam, k, log_kfact)), lvec))
 
 
-def marginal_likelihood(n_m: int, n_bins: int, rates: DetectorRates,
-                        lam) -> float | np.ndarray:
-    """P(n_m | lambda) under the truncated Poisson prior on n_t.
-
-    ``lam`` is one rate (returns a float) or a 1-d array of rates (returns
-    an array); the count likelihood is built once, and every rate's prior
-    is one row of a single (rates, B + 1) block.
-    """
-    lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    if np.any(lams < 0):
-        raise ValidationError(f"lambda must be >= 0, got {lam}")
-    lvec = likelihood_vector(n_m, n_bins, rates)
-    out = np.exp(_log_truncated_poisson(lams[:, None], *_poisson_terms(n_bins))) @ lvec
-    return float(out[0]) if np.ndim(lam) == 0 else out
-
-
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -180,18 +164,28 @@ def _golden_lambda(lvec: np.ndarray, k: np.ndarray, log_kfact: np.ndarray) -> fl
 
 @dataclass(frozen=True)
 class PosteriorDensity:
-    """Posterior over the true TLS count of one resonator."""
+    """Posterior over the true TLS count of one resonator, and the likelihood it weighs."""
 
     pmf: np.ndarray
     lambda_star: float
     mean_count: float
     ci68: tuple[float, float]
+    likelihood: np.ndarray
 
     def __post_init__(self):
         if abs(float(np.sum(self.pmf)) - 1.0) > 1e-9:
             raise ValidationError("posterior pmf must sum to 1")
         if self.lambda_star < 0 or self.ci68[0] > self.ci68[1]:
             raise ValidationError("invalid posterior summary")
+
+    def marginal_likelihood(self, lam) -> np.ndarray:
+        """P(n_m | lambda) at each rate of the 1-d ``lam`` under the truncated
+        Poisson prior, from this posterior's own count likelihood."""
+        lams = np.asarray(lam, dtype=float)
+        if np.any(lams < 0):
+            raise ValidationError(f"lambda must be >= 0, got {lam}")
+        prior = _log_truncated_poisson(lams[:, None], *_poisson_terms(self.likelihood.size - 1))
+        return np.exp(prior) @ self.likelihood
 
 
 def _interpolated_ci(pmf: np.ndarray) -> tuple[float, float]:
@@ -233,7 +227,8 @@ def posterior(inp: InferenceInput) -> PosteriorDensity:
         ci = (float(peak), float(peak))
     else:
         ci = _interpolated_ci(pmf)
-    return PosteriorDensity(pmf=pmf, lambda_star=lam, mean_count=mean, ci68=ci)
+    return PosteriorDensity(pmf=pmf, lambda_star=lam, mean_count=mean, ci68=ci,
+                            likelihood=lvec)
 
 
 @dataclass(frozen=True)

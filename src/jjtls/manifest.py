@@ -58,25 +58,27 @@ def write_manifest(outdir: Path, stage: str, config: dict, output_files,
     return path
 
 
-def _outputs(outdir: Path, stage: str) -> tuple[str, dict] | None:
-    """(package version, {listed path: sha256}) of manifest_<stage>.json; None if unreadable."""
+def listing(outdir: Path, stage: str, files) -> tuple[str, dict] | None:
+    """The package version of a readable ``manifest_<stage>.json`` and the sha256
+    it lists for each of ``files`` that it lists; None if it is missing or malformed."""
     try:
         manifest = read_record(run_path(outdir, "manifest", stage), "manifest")
-        return manifest["package_version"], {o["path"]: o["sha256"] for o in manifest["outputs"]}
+        sums = {o["path"]: o["sha256"] for o in manifest["outputs"]}
+        return manifest["package_version"], {
+            f: sums[name] for f in files if (name := _listed(Path(outdir), Path(f))) in sums}
     except (SchemaError, OSError, TypeError, KeyError):
         return None
 
 
-def unlisted(outdir: Path, stage: str, files) -> list:
-    """The ``files`` that a readable ``manifest_<stage>.json`` does not list."""
-    got = _outputs(outdir, stage)
-    return [] if got is None else [f for f in files if _listed(Path(outdir), Path(f)) not in got[1]]
+def unlisted(listed: tuple[str, dict] | None, files) -> list:
+    """The ``files`` that a :func:`listing` of them does not list; none without a manifest."""
+    return [] if listed is None else [f for f in files if f not in listed[1]]
 
 
-def vouches(outdir: Path, stage: str, blobs: dict) -> bool:
-    """Whether ``manifest_<stage>.json``, written by this package version,
-    lists every file of ``blobs`` ({path: bytes read from it}) with the
-    sha256 of those bytes; a missing or malformed manifest vouches for none."""
-    version, listed = _outputs(outdir, stage) or (None, {})
+def vouches(listed: tuple[str, dict] | None, blobs: dict) -> bool:
+    """Whether a :func:`listing`, of a manifest written by this package version,
+    lists every file of ``blobs`` ({path: bytes read from it}) with the sha256 of
+    those bytes; a missing or malformed manifest vouches for none."""
+    version, sums = listed or (None, {})
     return version == __version__ and all(
-        listed.get(_listed(Path(outdir), Path(p))) == sha256_bytes(b) for p, b in blobs.items())
+        sums.get(p) == sha256_bytes(b) for p, b in blobs.items())

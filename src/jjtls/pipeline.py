@@ -20,7 +20,7 @@ from .fileio import (SCHEMAS, calibration_from_dict, checked_seed, load_scenario
                      read_csv, read_densities_csv, read_json, read_morphology_csv,
                      read_record, run_path, sweep_plan, trace_from_csv,
                      write_csv, write_record, write_text)
-from .manifest import unlisted, vouches, write_manifest
+from .manifest import listing, unlisted, vouches, write_manifest
 
 
 def load_pipeline_config(path: Path) -> dict:
@@ -127,15 +127,21 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
     clock = _Clock()
     outdir = Path(outdir)
     det_cfg = cfg.get("detector", {})
+    if not isinstance(det_cfg, dict):
+        raise SchemaError(f"detector must be an object, got {det_cfg!r}")
     if extra := sorted(set(det_cfg) - {"ensemble_size"}):
         raise SchemaError(f"detector.{extra[0]}: unknown key; detector takes ensemble_size only")
+    ensemble_size = det_cfg.get("ensemble_size", 5000)
+    if type(ensemble_size) is not int or ensemble_size < 1000:  # JSON true is not a count
+        raise SchemaError(f"detector.ensemble_size must be an int >= 1000, got {ensemble_size!r}")
     trace_files = sorted(outdir.glob(SCHEMAS["trace"].path), key=_trace_index)
     if not trace_files:
         raise SchemaError(f"no trace files {outdir / SCHEMAS['trace'].path}; "
                           "run simulate first or point --outdir at recorded data")
-    if stray := unlisted(outdir, "simulate", trace_files):
-        raise SchemaError(f"{stray[0]}: a trace that manifest_simulate.json does not list")
     table = run_path(outdir, "loop_fits")
+    listed = listing(outdir, "simulate", [*trace_files, table])
+    if stray := unlisted(listed, trace_files):
+        raise SchemaError(f"{stray[0]}: a trace that manifest_simulate.json does not list")
     with clock.phase("load"):
         blobs = {p: p.read_bytes() for p in trace_files}
         traces = tuple(trace_from_csv(p, data) for p, data in blobs.items())
@@ -143,7 +149,7 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
         # simulate's closed loop fitted these very bytes in this order
         if (order == np.arange(len(order))).all() and table.is_file():
             blobs[table] = table.read_bytes()
-        reuse = table in blobs and vouches(outdir, "simulate", blobs)
+        reuse = table in blobs and vouches(listed, blobs)
     fits = None
     if reuse:
         with clock.phase("loop_fits"):
@@ -188,7 +194,7 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
     cal_params = ResonatorParams.from_array(pvecs.mean(axis=0))
     with clock.phase("build_threshold"):
         calib = build_threshold(cal_params, noise_sigma,
-                                ensemble_size=int(det_cfg.get("ensemble_size", 5000)),
+                                ensemble_size=ensemble_size,
                                 seed=seed, n_points=len(traces[baseline_i]))
     with clock.phase("count"):
         count = count_sweep(sweep, calib)
@@ -233,7 +239,7 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
 
 def cmd_infer(cfg: dict, outdir: Path) -> dict:
     """Convert detections into a posterior TLS count and density estimate."""
-    from .inference import InferenceInput, density, marginal_likelihood, posterior, true_rates
+    from .inference import InferenceInput, density, posterior, true_rates
     from .svgplot import Panel, render
     clock = _Clock()
     outdir = Path(outdir)
@@ -269,7 +275,7 @@ def cmd_infer(cfg: dict, outdir: Path) -> dict:
     }))
 
     lam_grid = np.linspace(0.0, max(3.0 * post.lambda_star, 3.0), 121)
-    lvals = marginal_likelihood(inp.n_detected, inp.n_bins, rates, lam_grid)
+    lvals = post.marginal_likelihood(lam_grid)
     if lvals.max() > 0:
         lvals = lvals / lvals.max()
     top = Panel(title="marginal likelihood of the TLS rate",
@@ -295,10 +301,11 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
     if repeats < 2:  # checked before any output is written
         raise ValidationError(f"repeats must be >= 2 for a std of the drops, got {repeats}")
     from scipy.special import gammainc
+    from scipy.stats import rankdata
 
     from .inference import DensityEstimate, aggregate_device
     from .stats import (cluster_features, gamma_fit, kruskal_wallis, pearson,
-                        ridge_permutation_importance, shapiro_wilk, spearman)
+                        ridge_permutation_importance, shapiro_wilk)
     from .svgplot import Panel, render
     clock = _Clock()
     outdir = Path(outdir)
@@ -357,12 +364,13 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
     files.append(write_csv(outdir, "gamma_fits", zip(*rows)))
     files.append(write_csv(outdir, "device_summaries", zip(*agg_rows)))
 
-    # pairwise correlation of each morphology metric with density
+    # each morphology metric's Pearson and Spearman (Pearson on ranks) r with density
+    ranks, density_ranks = rankdata(X, axis=0), rankdata(tls_density)
     rows = []
     for j, name in enumerate(feat_names):
         try:
             rows.append((name, *pearson(X[:, j], tls_density),
-                         *spearman(X[:, j], tls_density)))
+                         *pearson(ranks[:, j], density_ranks)))
         except JJTLSError as exc:
             notices.append(f"correlation skipped for {name}: {exc}")
     files.append(write_csv(outdir, "feature_correlations", zip(*rows)))
@@ -384,7 +392,7 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
         notices.append("clustering/importance skipped: fewer than 2 varying features")
     else:
         with clock.phase("importance"):
-            sel = cluster_features(Xv, tls_density)
+            sel = cluster_features(Xv, tls_density, ranks=(ranks[:, varying], density_ranks))
             rep_names = [names[j] for j in sel.representatives]
             rr = ridge_permutation_importance(Xv[:, list(sel.representatives)],
                                               tls_density, alpha=sel.ridge_alpha,

@@ -150,78 +150,80 @@ def spearman(x, y) -> tuple[float, float]:
 # Ridge regression with leave-one-out cross-validation
 
 def _ridge_loocv_predictions(X: np.ndarray, y: np.ndarray, alphas,
-                             swaps: np.ndarray | None = None) -> np.ndarray:
+                             swaps: np.ndarray | None = None, subsets=None) -> np.ndarray:
     """Honest LOOCV: standardization and fit are redone per fold, with one solve
-    per fold for every design in the stack X (..., n, k) and every alpha; a
-    column constant over a fold's training rows scores z = 0 in that fold.
-    Folds run in blocks of at most LOO_BLOCK training-row floats; each fold
-    keeps the arithmetic, and the sum order, of a fold run on its own.
-    Returns the held-out predictions, shape (..., len(alphas), n).
+    per fold for every alpha; a column constant over a fold's training rows
+    scores z = 0 in that fold.  Folds run in blocks of at most LOO_BLOCK
+    training-row floats; each fold keeps the arithmetic, and the sum order, of
+    a fold run on its own.  Returns the held-out predictions of the design X
+    (n, k), shape (len(alphas), n), or with ``subsets`` (column-index lists) of
+    each design X[:, s], shape (len(subsets), len(alphas), n): a fold
+    standardises X once, and gathers each subset's system from X's.
 
-    With ``swaps`` (k, r, n) the designs are instead the 2-d X with column j
-    replaced by swaps[j, rep], predictions (k, r, len(alphas), n): a fold
-    standardises X and the swapped columns side by side, and each design's
-    system is X's with the products of its swapped column put in."""
-    n, k = X.shape[-2:]
-    ridge = alphas[:, None, None] * np.eye(k)
+    With ``swaps`` (k, r, n) the designs are instead X with column j replaced by
+    swaps[j, rep], predictions (k, r, len(alphas), n): a fold standardises X and
+    the swapped columns side by side, and each design's system is X's with the
+    products of its swapped column put in."""
+    n, k = X.shape
     cols = X if swaps is None else np.hstack([X, swaps.reshape(-1, n).T])  # (n, k + k*r)
     r, i = 0 if swaps is None else swaps.shape[1], np.arange(k)
-    preds = np.empty((X.shape[:-2] if swaps is None else swaps.shape[:-1])
-                     + (ridge.shape[0], n))
+    designs = [i] if subsets is None else subsets
+    preds = np.empty((swaps.shape[:-1] if swaps is not None else (len(designs),))
+                     + (len(alphas), n))
 
     def swapped(a):  # the swapped columns' entries of a (f, k + k*r, ...) as (k, r, f, ...)
         return np.moveaxis(a[:, k:].reshape((a.shape[0], k, r) + a.shape[2:]), 0, 2)
 
     j = np.arange(n - 1)
     train = j + (j >= np.arange(n)[:, None])  # (n, n-1): the rows each fold trains on
-    step = max(1, LOO_BLOCK // max(1, cols.size // n * (n - 1)))  # folds per block
+    step = max(1, LOO_BLOCK // max(1, cols.shape[1] * (n - 1)))  # folds per block
     for start in range(0, n, step):
         held = slice(start, start + step)
-        Z, yt = cols[..., train[held], :], y[train[held]]  # (..., f, n-1, c), (f, n-1)
+        Z, yt = cols[train[held]], y[train[held]]  # (f, n-1, c), (f, n-1)
         mu = Z.mean(axis=-2, keepdims=True)
         varying = np.ptp(Z, axis=-2, keepdims=True) > 0
         Z -= mu  # the training rows are a fresh copy: centred and scaled in place
         sd = np.sqrt(np.add.reduce(Z * Z, axis=-2, keepdims=True) / (n - 1))  # np.std's steps
         np.copyto(np.divide(Z, sd, out=Z, where=varying), 0.0, where=~varying)
-        zi = np.divide(cols[..., held, None, :] - mu, sd, out=np.zeros_like(mu), where=varying)
+        zi = np.divide(cols[held, None, :] - mu, sd, out=np.zeros_like(mu), where=varying)
         ym = yt.mean(axis=-1, keepdims=True)
         Zt = np.swapaxes(Z, -1, -2)
-        G, b = Zt @ Z[..., :k], Zt @ (yt - ym)[..., None]  # (..., f, c, k), (..., f, c, 1)
-        if swaps is not None:  # design (j, rep): X's system, swapped column (j, rep) as j
+        G, b = Zt @ Z[..., :k], Zt @ (yt - ym)[..., None]  # (f, c, k), (f, c, 1)
+        if swaps is None:  # design d: X's system on the columns s, gathered C-contiguous
+            systems = [(preds[d], G.take(s, 1).take(s, 2), b.take(s, 1), zi.take(s, 2))
+                       for d, s in enumerate(designs)]
+        else:  # design (j, rep): X's system, swapped column (j, rep) as j
             Gs, bs, zs = (np.broadcast_to(a, (k, r) + a.shape).copy()
                           for a in (G[:, :k], b[:, :k], zi[..., :k]))
             Gs[i, :, :, i] = Gs[i, ..., i] = swapped(G)
             Gs[i, :, :, i, i] = swapped(np.einsum("ftc,ftc->fc", Z, Z))
             bs[i, :, :, i] = swapped(b)
             zs[i, :, :, 0, i] = swapped(zi[:, 0])
-            G, b, zi = Gs, bs, zs
-        w = np.linalg.solve(G[..., None, :, :] + ridge, b[..., None, :, :])
-        preds[..., held] = np.swapaxes(ym + (zi[..., None, :, :] @ w)[..., 0, 0], -1, -2)
+            systems = [(preds, Gs, bs, zs)]
+        for out, Gd, bd, zd in systems:
+            ridge = alphas[:, None, None] * np.eye(Gd.shape[-1])
+            w = np.linalg.solve(Gd[..., None, :, :] + ridge, bd[..., None, :, :])
+            out[..., held] = np.swapaxes(ym + (zd[..., None, :, :] @ w)[..., 0, 0], -1, -2)
         del Z, Zt  # before the next block's gather
-    return preds
+    return preds if swaps is not None or subsets is not None else preds[0]
 
 
-def ridge_loocv_r2(X: np.ndarray, y: np.ndarray, alpha):
-    """LOOCV R^2 = 1 - SS_resid(held out) / SS_total of each design in the stack
-    X (..., n, k) at each alpha, shape X.shape[:-2] + np.shape(alpha)."""
+def ridge_loocv_r2(X: np.ndarray, y: np.ndarray, alpha, subsets=None):
+    """LOOCV R^2 = 1 - SS_resid(held out) / SS_total of the design X (n, k) at
+    each alpha, shape np.shape(alpha); with ``subsets``, of each column subset
+    X[:, s], shape (len(subsets),) + np.shape(alpha)."""
     alphas = np.ravel(np.asarray(alpha, dtype=float))
     if np.any(alphas <= 0):
         raise ValidationError("ridge alpha must be > 0")
     X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-    if X.shape[-2] < 4:
-        raise ValidationError(f"need >= 4 observations, got {X.shape[-2]}")
+    if X.shape[0] < 4:
+        raise ValidationError(f"need >= 4 observations, got {X.shape[0]}")
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot <= 0:
         raise DegenerateDataError("target has zero variance")
-    r2 = 1.0 - np.sum((y - _ridge_loocv_predictions(X, y, alphas)) ** 2, axis=-1) / ss_tot
-    return r2.reshape(X.shape[:-2] + np.shape(alpha))[()]
-
-
-def _select_alpha(X: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """The first alpha of RIDGE_ALPHA_GRID with the highest LOOCV R^2, and that R^2."""
-    r2 = ridge_loocv_r2(X, y, RIDGE_ALPHA_GRID)
-    best = int(np.argmax(r2))
-    return RIDGE_ALPHA_GRID[best], float(r2[best])
+    preds = _ridge_loocv_predictions(X, y, alphas, subsets=subsets)
+    r2 = 1.0 - np.sum((y - preds) ** 2, axis=-1) / ss_tot
+    return r2.reshape(r2.shape[:-1] + np.shape(alpha))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +240,7 @@ class ClusterSelection:
     ridge_alpha: float
 
 
-def _spearman_matrix(X: np.ndarray) -> np.ndarray:
-    return np.corrcoef(rankdata(X, axis=0), rowvar=False)
-
-
-def cluster_features(features, target) -> ClusterSelection:
+def cluster_features(features, target, *, ranks=None) -> ClusterSelection:
     """Group collinear features and pick one representative per group.
 
     Pairwise Spearman correlations become the distance 1 - |rho|; Ward
@@ -253,6 +251,7 @@ def cluster_features(features, target) -> ClusterSelection:
     point by default) of the best count as ties and the coarsest of them
     is kept: near-duplicate features produce score jitter of this size
     through ill-conditioned folds, and parsimony should win those ties.
+    ``ranks`` are (rankdata(features, axis=0), rankdata(target)), if held already.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(target, dtype=float)
@@ -268,13 +267,13 @@ def cluster_features(features, target) -> ClusterSelection:
             f"feature column {int(constant[0])} is constant; its rank "
             "correlations are undefined")
 
-    corr = _spearman_matrix(X)
-    dist = 1.0 - np.abs(corr)
+    rx, ry = (rankdata(X, axis=0), rankdata(y)) if ranks is None else ranks
+    dist = 1.0 - np.abs(np.corrcoef(rx, rowvar=False))
     np.fill_diagonal(dist, 0.0)
     dist = 0.5 * (dist + dist.T)  # symmetrize rounding
     Z = linkage(squareform(dist, checks=False), method="ward")
 
-    target_corr = np.array([abs(spearman(X[:, j], y)[0]) for j in range(X.shape[1])])
+    target_corr = np.array([abs(pearson(rx[:, j], ry)[0]) for j in range(X.shape[1])])
 
     def cut(threshold: float):
         labels = fcluster(Z, t=threshold, criterion="distance")
@@ -287,14 +286,14 @@ def cluster_features(features, target) -> ClusterSelection:
             reps.append(rep)
         return tuple(clusters), tuple(reps)
 
-    thresholds = [0.0] + [float(h) for h in Z[:, 2]]
-    scored = []
-    for t in sorted(set(thresholds)):
-        clusters, reps = cut(t)
-        a, r2 = _select_alpha(X[:, list(reps)], y)
-        scored.append(ClusterSelection(threshold=t, clusters=clusters,
-                                       representatives=reps, loocv_r2=r2,
-                                       ridge_alpha=a))
+    thresholds = sorted({0.0, *(float(h) for h in Z[:, 2])})
+    cuts = [cut(t) for t in thresholds]
+    r2 = ridge_loocv_r2(X, y, RIDGE_ALPHA_GRID, subsets=[reps for _, reps in cuts])
+    best = np.argmax(r2, axis=1)  # the first alpha of the grid with the highest R^2
+    scored = [ClusterSelection(threshold=t, clusters=clusters, representatives=reps,
+                               loocv_r2=float(r2[c, best[c]]),
+                               ridge_alpha=RIDGE_ALPHA_GRID[best[c]])
+              for c, (t, (clusters, reps)) in enumerate(zip(thresholds, cuts))]
     best_r2 = max(s.loocv_r2 for s in scored)
     # coarsest cut within the tie band
     return max((s for s in scored if s.loocv_r2 >= best_r2 - CLUSTER_TIE_TOL),

@@ -59,6 +59,25 @@ def forward_detections(n_t: int, n_bins: int, FP: float, FN: float,
     return int(min(detected + spurious, n_bins))
 
 
+def marginal_likelihood(n_m: int, n_bins: int, rates, lam):
+    """P(n_m | lambda) under the truncated Poisson prior on n_t, as the package
+    computed it before ``PosteriorDensity.marginal_likelihood`` took its place.
+
+    ``lam`` is one rate (returns a float) or a 1-d array of rates (returns
+    an array); the count likelihood is built once, and every rate's prior
+    is one row of a single (rates, B + 1) block.
+    """
+    from jjtls.errors import ValidationError
+    from jjtls.inference import _log_truncated_poisson, _poisson_terms, likelihood_vector
+
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    if np.any(lams < 0):
+        raise ValidationError(f"lambda must be >= 0, got {lam}")
+    lvec = likelihood_vector(n_m, n_bins, rates)
+    out = np.exp(_log_truncated_poisson(lams[:, None], *_poisson_terms(n_bins))) @ lvec
+    return float(out[0]) if np.ndim(lam) == 0 else out
+
+
 def exact_threshold(params, noise_sigma: float, ensemble_size: int, seed: int = 0,
                     n_points: int = 201):
     """build_threshold by one warm-started nonlinear refit per ensemble member.
@@ -389,7 +408,8 @@ def ridge_permutation_importance_stacked(features, target, *, alpha: float,
                                          feature_names=None):
     """The stacked permutation importance that the swap-form LOOCV replaces, as
     it was: every shuffled design copied whole into one (k, repeats, n, k)
-    stack and scored by the stacked LOOCV."""
+    stack and scored by the stacked fold loop, which the stacked LOOCV that
+    scored it matched bit for bit."""
     from jjtls.errors import ValidationError
     from jjtls.stats import RegressionReport, ridge_loocv_r2
 
@@ -412,7 +432,8 @@ def ridge_permutation_importance_stacked(features, target, *, alpha: float,
     for j in range(k):
         for rep in range(repeats):
             shuffled[j, rep, :, j] = rng.permutation(X[:, j])
-    drops = base - ridge_loocv_r2(shuffled, y, alpha)
+    preds = ridge_loocv_predictions_fold_loop(shuffled, y, np.array([alpha]))[..., 0, :]
+    drops = base - (1.0 - np.sum((y - preds) ** 2, axis=-1) / float(np.sum((y - y.mean()) ** 2)))
     importances = {name: (float(d.mean()), float(d.std(ddof=1)))
                    for name, d in zip(feature_names, drops)}
     return RegressionReport(ridge_alpha=alpha, loocv_r2=base, importances=importances)

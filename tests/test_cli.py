@@ -273,6 +273,29 @@ class TestDetect:
         assert len(err.strip().splitlines()) == 1
         assert detect_outputs(tmp_path / "run") == detect_outputs(out)
 
+    @pytest.mark.parametrize("detector, shown", [
+        (5, "detector must be an object, got 5"),
+        ({"ensemble_size": "abc"}, "detector.ensemble_size must be an int >= 1000, got 'abc'"),
+        ({"ensemble_size": 1200.7}, "detector.ensemble_size must be an int >= 1000, got 1200.7"),
+        ({"ensemble_size": True}, "detector.ensemble_size must be an int >= 1000, got True"),
+        ({"ensemble_size": 999}, "detector.ensemble_size must be an int >= 1000, got 999"),
+    ], ids=["not-an-object", "text", "fraction", "true", "below-1000"])
+    def test_detector_types_checked_before_writing(self, full_run, tmp_path, capsys,
+                                                   detector, shown):
+        # one error line and exit 1 before any output: neither a traceback, nor a
+        # fits.csv left behind, nor an ensemble size silently truncated
+        _, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out / "traces", run / "traces")
+        for name in ("loop_fits.csv", "manifest_simulate.json", "scenario_used.json"):
+            shutil.copy(out / name, run / name)
+        before = run_files(run)
+        cfg = write_config(tmp_path, detector=detector)
+        assert main(["detect", "--config", str(cfg), "--outdir", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {shown}\n"
+        assert run_files(run) == before
+
     def test_calibration_failure_preserves_partial_outputs(self, full_run,
                                                            tmp_path):
         # calibration interval sitting on a defect crossing is not flat:
@@ -598,28 +621,37 @@ class TestInfer:
         total = sum(float(r.split(",")[1]) for r in rows)
         assert total == pytest.approx(1.0, abs=1e-9)
 
-    def test_likelihood_vector_built_at_most_twice(self, tmp_path, monkeypatch):
-        # once for the posterior, once for the likelihood curve in posterior.svg
-        import jjtls.inference as inference
-
-        real, calls = inference.likelihood_vector, []
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(inference, "likelihood_vector", counting)
-        out = tmp_path / "run"
+    @staticmethod
+    def infer_dir(out, n_detected: int, n_bins: int):
         out.mkdir()
         (out / "detection_meta.json").write_text(json.dumps(
-            {"n_detected": 4, "n_bins": 80, "delta_f_GHz": 0.08,
+            {"n_detected": n_detected, "n_bins": n_bins, "delta_f_GHz": 0.001 * n_bins,
              "kappa_GHz": 0.001}))
         (out / "calibration.json").write_text(json.dumps(
             {"threshold": 1e-4, "fp": 0.02, "fn": 0.35, "noise_sigma": 0.005,
              "gauss_noise": [5e-5, 1e-5], "gauss_tls": [3e-4, 5e-5]}))
+        return out
+
+    @pytest.mark.parametrize("B", [30, 100, 300, 1000])
+    def test_likelihood_built_once(self, tmp_path, monkeypatch, B):
+        # posterior.svg's likelihood curve reads the posterior's own count
+        # likelihood, and is marginal_likelihood's curve bit for bit
+        import jjtls.inference as inference
+        import jjtls.svgplot as svgplot
+        from _oracles import marginal_likelihood
+
+        real, calls, render, panels = inference.likelihood_vector, [], svgplot.render, []
+        monkeypatch.setattr(inference, "likelihood_vector",
+                            lambda *args: calls.append(args) or real(*args))
+        monkeypatch.setattr(svgplot, "render", lambda p: panels.extend(p) or render(p))
+        out = self.infer_dir(tmp_path / "run", B // 10, B)
         cfg = write_config(tmp_path)
         assert main(["infer", "--config", str(cfg), "--outdir", str(out)]) == 0
-        assert 1 <= len(calls) <= 2
+        assert len(calls) == 1
+        monkeypatch.setattr(inference, "likelihood_vector", real)
+        lams, got = next((xs, ys) for xs, ys, label in panels[0].lines if label == "likelihood")
+        want = marginal_likelihood(B // 10, B, inference.true_rates(0.02, 0.35), np.array(lams))
+        assert want.max() > 0 and np.array_equal(got, want / want.max())
 
 
 def in_fresh_interpreter(code: str):
@@ -696,7 +728,7 @@ class TestStartup:
             "       or name not in listed]\n"
             "print(json.dumps({'names': len(jjtls._MODULE_OF), 'bad': bad}))\n")
         # the names exported before they were lazy, less estimate_snr (now a test oracle)
-        assert result == {"names": 53, "bad": []}
+        assert result == {"names": 52, "bad": []}
 
     def test_unknown_attribute_raises(self):
         result = in_fresh_interpreter(

@@ -6,12 +6,12 @@ import pytest
 from scipy import special
 
 import jjtls.inference
-from _oracles import enumerate_detection_pmf, forward_detections, mc_peak_rates
+from _oracles import (enumerate_detection_pmf, forward_detections, marginal_likelihood,
+                      mc_peak_rates)
 from jjtls.errors import ValidationError
 from jjtls.inference import (DensityEstimate, DetectorRates, InferenceInput, _marginal,
                              _poisson_terms, aggregate_device, density, likelihood_vector,
-                             logsumexp, marginal_likelihood, mle_lambda, posterior,
-                             true_rates)
+                             logsumexp, mle_lambda, posterior, true_rates)
 
 
 class TestTrueRates:
@@ -286,6 +286,21 @@ class TestPosterior:
         post = posterior(InferenceInput(n_detected=6, n_bins=50, rates=r))
         lo, hi = post.ci68
         assert 0 <= lo <= post.mean_count <= hi <= 50
+
+    @pytest.mark.parametrize("B", [30, 100, 300, 1000])
+    def test_carries_the_likelihood_it_weighs(self, B):
+        # the posterior keeps its count likelihood, and its marginal over rates
+        # is marginal_likelihood's bit for bit, without building it again
+        r = true_rates(0.02, 0.35)
+        n_m = B // 10
+        post = posterior(InferenceInput(n_detected=n_m, n_bins=B, rates=r))
+        assert np.array_equal(post.likelihood, likelihood_vector(n_m, B, r))
+        assert post.lambda_star == mle_lambda(n_m, B, r)
+        lams = np.linspace(0.0, max(3.0 * post.lambda_star, 3.0), 121)
+        assert np.array_equal(post.marginal_likelihood(lams),
+                              marginal_likelihood(n_m, B, r, lams))
+        with pytest.raises(ValidationError):
+            post.marginal_likelihood(np.array([1.0, -0.5]))
 
 
 class TestDensity:

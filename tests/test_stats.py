@@ -11,7 +11,7 @@ from _oracles import (permutation_importance_loop, permuted_designs,
                       ridge_loocv_predictions_loop, ridge_loocv_r2_loop,
                       ridge_permutation_importance_stacked)
 from jjtls.errors import DegenerateDataError, ValidationError
-from jjtls.stats import (LOO_BLOCK, RIDGE_ALPHA_GRID, _ridge_loocv_predictions, _select_alpha,
+from jjtls.stats import (CLUSTER_TIE_TOL, LOO_BLOCK, RIDGE_ALPHA_GRID, _ridge_loocv_predictions,
                          cluster_features, gamma_fit, kruskal_wallis, pearson, ridge_loocv_r2,
                          ridge_permutation_importance, shapiro_wilk, spearman)
 
@@ -321,6 +321,87 @@ class TestClusterFeatures:
             cluster_features(X, y)
 
 
+def one_factor_design(seed, n=30, copies=4):
+    """Near-duplicate proxies of one latent factor, which alone drives the target."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(n)
+    X = np.column_stack([z + 0.05 * rng.standard_normal(n) for _ in range(copies)])
+    return X, z + 0.3 * rng.standard_normal(n)
+
+
+class TestClusterCutScores:
+    """cluster_features scores every cut at every alpha of the grid in one pass
+    over the LOOCV folds; each score is the one-fold-at-a-time LOOCV of that
+    cut's representatives, and the selection follows from those scores."""
+
+    @staticmethod
+    def fold_constant_design():
+        # column 1 is constant but for row 5: the fold that holds row 5 out
+        # sees it constant over its training rows
+        X, y = latent_factor_design(0, n=20)
+        X[:, 1] = 0.34
+        X[5, 1] = 0.68
+        return X, y
+
+    @staticmethod
+    def scored(monkeypatch, X, y):
+        """cluster_features' selection, the representatives of every cut it scored
+        (finest first), their R^2 at every alpha, and its number of fold passes."""
+        import jjtls.stats as stats
+
+        scores, passes = [], []
+        r2, kernel = stats.ridge_loocv_r2, stats._ridge_loocv_predictions
+
+        def scoring(*args, **kwargs):
+            scores.append((kwargs["subsets"], r2(*args, **kwargs)))
+            return scores[-1][1]
+
+        monkeypatch.setattr(stats, "ridge_loocv_r2", scoring)
+        monkeypatch.setattr(stats, "_ridge_loocv_predictions",
+                            lambda *args, **kwargs: passes.append(1) or kernel(*args, **kwargs))
+        sel = cluster_features(X, y)
+        assert len(scores) == 1
+        return sel, *scores[0], len(passes)
+
+    @pytest.mark.parametrize("case", ["fold-constant column", "tie band", "one-column cut"])
+    def test_every_cut_equals_loop(self, monkeypatch, case):
+        X, y = {"fold-constant column": self.fold_constant_design,
+                "tie band": lambda: latent_factor_design(3),
+                "one-column cut": lambda: one_factor_design(5)}[case]()
+        sel, cuts, r2, passes = self.scored(monkeypatch, X, y)
+        assert passes == 1 and r2.shape == (len(cuts), len(RIDGE_ALPHA_GRID))
+        loop = ridge_loocv_r2_loop
+        if case == "fold-constant column":  # the loop, refitting each fold without it
+            def loop(X, y, alpha):
+                preds = ridge_loocv_predictions_dropping_flat(X, y, alpha)
+                return 1.0 - np.sum((y - preds) ** 2) / np.sum((y - y.mean()) ** 2)
+        want = np.array([[loop(X[:, list(reps)], y, a) for a in RIDGE_ALPHA_GRID]
+                         for reps in cuts])
+        np.testing.assert_allclose(r2, want, rtol=1e-12, atol=0)
+        # the selection, from the loop's scores: each cut at its first best alpha,
+        # then the coarsest cut within the tie band
+        best = want.max(axis=1)
+        tied = np.flatnonzero(best >= best.max() - CLUSTER_TIE_TOL)
+        c = tied[-1]
+        assert sel.representatives == tuple(cuts[c])
+        assert sel.ridge_alpha == RIDGE_ALPHA_GRID[int(np.argmax(want[c]))]
+        assert sel.loocv_r2 == pytest.approx(best[c], rel=1e-12)
+        if case == "fold-constant column":
+            assert any(1 in reps for reps in cuts)
+        elif case == "tie band":  # the tie rule, not the best score, picks the cut
+            assert len(tied) >= 2 and best[c] < best.max()
+        else:
+            assert sel.representatives == tuple(cuts[-1]) and len(cuts[-1]) == 1
+
+    @pytest.mark.parametrize("n, k", [(40, 10), (60, 8), (600, 6)])
+    def test_one_fold_pass_per_call(self, monkeypatch, n, k):
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, k)) + rng.standard_normal((n, 1))
+        y = X[:, 0] + rng.standard_normal(n)
+        _, cuts, _, passes = self.scored(monkeypatch, X, y)
+        assert len(cuts) == k and passes == 1
+
+
 class TestRidgePermutationImportance:
     def test_signal_feature_ranked_first(self):
         wins = 0
@@ -389,13 +470,14 @@ class TestRidgeLoocv:
 
     @pytest.mark.parametrize("n, k, batch", [(4, 1, (5,)), (60, 8, (3, 2))])
     def test_batched_matches_loop(self, n, k, batch):
+        # a batch of designs in subset form: their columns side by side in one X
         rng = np.random.default_rng(n + k)
         Xs = rng.standard_normal(batch + (n, k))
         y = Xs[(0,) * len(batch)] @ rng.standard_normal(k) + 0.5 * rng.standard_normal(n)
         alphas = np.logspace(-3, 3, 7)
-        preds = _ridge_loocv_predictions(Xs, y, alphas)
-        r2 = ridge_loocv_r2(Xs, y, alphas)
-        assert preds.shape == batch + (7, n) and r2.shape == batch + (7,)
+        X, subsets = side_by_side(Xs)
+        preds = _ridge_loocv_predictions(X, y, alphas, subsets=subsets).reshape(batch + (7, n))
+        r2 = ridge_loocv_r2(X, y, alphas, subsets=subsets).reshape(batch + (7,))
         for b in np.ndindex(batch):
             for m, alpha in enumerate(alphas):
                 np.testing.assert_allclose(
@@ -434,33 +516,53 @@ class TestRidgeLoocv:
             assert std == pytest.approx(want_std, rel=1e-12, abs=1e-15)
 
 
+def side_by_side(Xs: np.ndarray):
+    """A stack of designs (..., n, k) in subset form: one design (n, k * designs)
+    holding every design's columns side by side, and each design's columns."""
+    *stack, n, k = Xs.shape
+    d = math.prod(stack)
+    return (np.moveaxis(Xs.reshape(d, n, k), 0, 1).reshape(n, d * k),
+            [range(j * k, (j + 1) * k) for j in range(d)])
+
+
 class TestFoldBlocks:
     """Folds gathered in blocks give the one-fold-per-iteration loop's
-    predictions bit for bit, whatever the number of folds per block."""
+    predictions, whatever the number of folds per block: bit for bit for a
+    design of its own, and for every subset of a wider design at 1e-12 (its
+    system is gathered from that design's Gram matrix, whose BLAS sums may
+    round differently); the number of folds per block changes no bit."""
 
     ALPHAS = np.array(RIDGE_ALPHA_GRID)
 
     @pytest.mark.parametrize("shape, blocks", [
         ((60, 8), 1),            # a survey-sized design: one block
         ((12, 8), 1),            # the fixture's design size
-        ((3, 100, 60, 3), 60),   # a permutation stack: one fold per block
+        ((3, 100, 60, 3), 60),   # 300 subsets of a 900-column design: one fold per block
         ((5, 50, 10), 2),        # the last block holds fewer folds
     ])
-    def test_equal_to_fold_loop(self, shape, blocks):
+    def test_equal_to_fold_loop(self, monkeypatch, shape, blocks):
         *stack, n, k = shape
         step = max(1, LOO_BLOCK // (math.prod(stack) * (n - 1) * k))
         assert -(-n // step) == blocks
         rng = np.random.default_rng(n + k)
-        X = rng.standard_normal(shape)
-        y = X[(0,) * len(stack)] @ rng.standard_normal(k) + 0.5 * rng.standard_normal(n)
-        got = _ridge_loocv_predictions(X, y, self.ALPHAS)
-        assert np.array_equal(got, ridge_loocv_predictions_fold_loop(X, y, self.ALPHAS))
+        Xs = rng.standard_normal(shape)
+        y = Xs[(0,) * len(stack)] @ rng.standard_normal(k) + 0.5 * rng.standard_normal(n)
+        want = ridge_loocv_predictions_fold_loop(Xs, y, self.ALPHAS)
+        if not stack:
+            assert np.array_equal(_ridge_loocv_predictions(Xs, y, self.ALPHAS), want)
+        X, subsets = side_by_side(Xs)
+        got = _ridge_loocv_predictions(X, y, self.ALPHAS, subsets=subsets)
+        assert_close_to_scale(got.reshape(want.shape), want)
+        monkeypatch.setattr("jjtls.stats.LOO_BLOCK", 1)
+        assert np.array_equal(_ridge_loocv_predictions(X, y, self.ALPHAS, subsets=subsets), got)
 
     @pytest.mark.parametrize("shape", [(10, 0), (0, 10, 0), (0, 10, 3)])
     def test_empty_design_equal_to_fold_loop(self, shape):
-        X, y = np.zeros(shape), np.arange(10.0)
-        got = _ridge_loocv_predictions(X, y, self.ALPHAS)
-        assert np.array_equal(got, ridge_loocv_predictions_fold_loop(X, y, self.ALPHAS))
+        Xs, y = np.zeros(shape), np.arange(10.0)
+        X, subsets = side_by_side(Xs)
+        got = _ridge_loocv_predictions(X, y, self.ALPHAS, subsets=subsets)
+        want = ridge_loocv_predictions_fold_loop(Xs, y, self.ALPHAS)
+        assert np.array_equal(got.reshape(want.shape), want)
 
     @pytest.mark.parametrize("value", [0.34, 55.3])
     def test_fold_constant_column_equal_to_fold_loop(self, value):
@@ -541,8 +643,8 @@ class TestSwapKernel:
         else:
             X = rng.standard_normal((40, 5 if design != "empty" else 0))
             y = (X[:, 1] if design == "signal" else 0.0) + 0.05 * rng.standard_normal(40)
-        if alpha is None:  # the alpha that cluster_features selects for this design
-            alpha = _select_alpha(X, y)[0]
+        if alpha is None:  # the alpha that cluster_features would select for this design
+            alpha = RIDGE_ALPHA_GRID[int(np.argmax(ridge_loocv_r2(X, y, RIDGE_ALPHA_GRID)))]
         got = ridge_permutation_importance(X, y, alpha=alpha, repeats=repeats, seed=seed)
         want = ridge_permutation_importance_stacked(X, y, alpha=alpha, repeats=repeats,
                                                     seed=seed)
