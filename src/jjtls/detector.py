@@ -31,6 +31,7 @@ MERGE_RADIUS = 1.0        # event merge radius, units of kappa
 NOISE_TOLERANCE = 0.01    # calibrate_noise: relative agreement of the metric
 NOISE_MAX_ITER = 100      # calibrate_noise: bisection steps
 CAL_SPAN = 10.0           # build_threshold: ensemble trace span, units of kappa
+MIN_ENSEMBLE_SIZE = 1000  # build_threshold: fewest members per ensemble
 NOISE_CHUNK = 64          # ensemble members per noise block (bounds peak memory)
 GUARD_MEMBERS = 32        # members of each ensemble refitted exactly
 GUARD_MEAN = 0.05         # guard: |mean(projected - exact)| limit, in ensemble stds
@@ -456,8 +457,8 @@ def build_threshold(params: ResonatorParams, noise_sigma: float,
     refits the whole ensemble exactly instead.
     """
     params.validate()
-    if ensemble_size < 1000:
-        raise ValidationError(f"ensemble_size must be >= 1000, got {ensemble_size}")
+    if ensemble_size < MIN_ENSEMBLE_SIZE:
+        raise ValidationError(f"ensemble_size must be >= {MIN_ENSEMBLE_SIZE}, got {ensemble_size}")
     if noise_sigma < 0:
         raise ValidationError("noise_sigma must be >= 0")
     kappa = params.kappa

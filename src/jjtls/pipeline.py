@@ -120,8 +120,8 @@ def cmd_simulate(cfg: dict, outdir: Path) -> dict:
 
 def cmd_detect(cfg: dict, outdir: Path) -> dict:
     """Fit traces in bias order, calibrate the detector, and emit the detected events."""
-    from .detector import (SweepDataset, apply_exclusions, build_threshold,
-                           calibrate_noise, count_sweep, fit_next)
+    from .detector import (MIN_ENSEMBLE_SIZE, SweepDataset, apply_exclusions,
+                           build_threshold, calibrate_noise, count_sweep, fit_next)
     from .physics import ResonatorParams
     from .svgplot import Panel, render
     clock = _Clock()
@@ -132,8 +132,9 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
     if extra := sorted(set(det_cfg) - {"ensemble_size"}):
         raise SchemaError(f"detector.{extra[0]}: unknown key; detector takes ensemble_size only")
     ensemble_size = det_cfg.get("ensemble_size", 5000)
-    if type(ensemble_size) is not int or ensemble_size < 1000:  # JSON true is not a count
-        raise SchemaError(f"detector.ensemble_size must be an int >= 1000, got {ensemble_size!r}")
+    if type(ensemble_size) is not int or ensemble_size < MIN_ENSEMBLE_SIZE:  # true is no count
+        raise SchemaError(f"detector.ensemble_size must be an int >= {MIN_ENSEMBLE_SIZE}, "
+                          f"got {ensemble_size!r}")
     trace_files = sorted(outdir.glob(SCHEMAS["trace"].path), key=_trace_index)
     if not trace_files:
         raise SchemaError(f"no trace files {outdir / SCHEMAS['trace'].path}; "
@@ -301,11 +302,10 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
     if repeats < 2:  # checked before any output is written
         raise ValidationError(f"repeats must be >= 2 for a std of the drops, got {repeats}")
     from scipy.special import gammainc
-    from scipy.stats import rankdata
 
     from .inference import DensityEstimate, aggregate_device
     from .stats import (cluster_features, gamma_fit, kruskal_wallis, pearson,
-                        ridge_permutation_importance, shapiro_wilk)
+                        ridge_permutation_importance, shapiro_wilk, spearman)
     from .svgplot import Panel, render
     clock = _Clock()
     outdir = Path(outdir)
@@ -364,13 +364,12 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
     files.append(write_csv(outdir, "gamma_fits", zip(*rows)))
     files.append(write_csv(outdir, "device_summaries", zip(*agg_rows)))
 
-    # each morphology metric's Pearson and Spearman (Pearson on ranks) r with density
-    ranks, density_ranks = rankdata(X, axis=0), rankdata(tls_density)
+    # pairwise correlation of each morphology metric with density
     rows = []
     for j, name in enumerate(feat_names):
         try:
             rows.append((name, *pearson(X[:, j], tls_density),
-                         *pearson(ranks[:, j], density_ranks)))
+                         *spearman(X[:, j], tls_density)))
         except JJTLSError as exc:
             notices.append(f"correlation skipped for {name}: {exc}")
     files.append(write_csv(outdir, "feature_correlations", zip(*rows)))
@@ -392,7 +391,7 @@ def cmd_correlate(densities_path: Path, morphology_path: Path, outdir: Path,
         notices.append("clustering/importance skipped: fewer than 2 varying features")
     else:
         with clock.phase("importance"):
-            sel = cluster_features(Xv, tls_density, ranks=(ranks[:, varying], density_ranks))
+            sel = cluster_features(Xv, tls_density)
             rep_names = [names[j] for j in sel.representatives]
             rr = ridge_permutation_importance(Xv[:, list(sel.representatives)],
                                               tls_density, alpha=sel.ridge_alpha,

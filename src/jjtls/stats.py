@@ -240,7 +240,7 @@ class ClusterSelection:
     ridge_alpha: float
 
 
-def cluster_features(features, target, *, ranks=None) -> ClusterSelection:
+def cluster_features(features, target) -> ClusterSelection:
     """Group collinear features and pick one representative per group.
 
     Pairwise Spearman correlations become the distance 1 - |rho|; Ward
@@ -251,7 +251,6 @@ def cluster_features(features, target, *, ranks=None) -> ClusterSelection:
     point by default) of the best count as ties and the coarsest of them
     is kept: near-duplicate features produce score jitter of this size
     through ill-conditioned folds, and parsimony should win those ties.
-    ``ranks`` are (rankdata(features, axis=0), rankdata(target)), if held already.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(target, dtype=float)
@@ -267,7 +266,7 @@ def cluster_features(features, target, *, ranks=None) -> ClusterSelection:
             f"feature column {int(constant[0])} is constant; its rank "
             "correlations are undefined")
 
-    rx, ry = (rankdata(X, axis=0), rankdata(y)) if ranks is None else ranks
+    rx, ry = rankdata(X, axis=0), rankdata(y)  # every Spearman r below is Pearson on these
     dist = 1.0 - np.abs(np.corrcoef(rx, rowvar=False))
     np.fill_diagonal(dist, 0.0)
     dist = 0.5 * (dist + dist.T)  # symmetrize rounding
