@@ -73,9 +73,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # imported once parsed, so --help and usage errors load no numpy; each cmd_*
     # imports the scipy-backed modules it runs
-    from .fileio import schema_text
-    from .pipeline import (cmd_correlate, cmd_detect, cmd_infer, cmd_report,
-                           cmd_simulate, load_pipeline_config)
+    from .fileio import load_pipeline_config, schema_text
+    from .pipeline import cmd_correlate, cmd_detect, cmd_infer, cmd_report, cmd_simulate
     try:
         if args.command == "schema":
             print(schema_text(args.name), flush=True)
@@ -108,9 +107,8 @@ def main(argv=None) -> int:
             raise ValidationError("--outdir is required")
         if args.config is None:
             raise ValidationError("--config is required")
-        cfg = load_pipeline_config(args.config)
-        if getattr(args, "seed", None) is not None:
-            cfg["seed"] = _seed(args.seed)
+        seed = getattr(args, "seed", None)  # infer takes no --seed
+        cfg = load_pipeline_config(args.config, None if seed is None else _seed(seed))
         if args.command == "simulate":
             args.outdir.mkdir(parents=True, exist_ok=True)
             out = cmd_simulate(cfg, args.outdir)

@@ -19,7 +19,7 @@ from scipy.special import ndtr
 
 from .errors import (CalibrationError, ConvergenceError, DegenerateDataError,
                      NoResonanceError, ValidationError)
-from .fileio import DetectorCalibration
+from .fileio import MIN_ENSEMBLE_SIZE, DetectorCalibration
 from .fitting import (FAILED_FIT, FitResult, _metric, fit_flux_parabola, fit_hanger,
                       savgol)
 from .physics import (RNG_CAL_NOISE, RNG_THRESHOLD, Hanger, ResonatorParams, Trace,
@@ -31,7 +31,6 @@ MERGE_RADIUS = 1.0        # event merge radius, units of kappa
 NOISE_TOLERANCE = 0.01    # calibrate_noise: relative agreement of the metric
 NOISE_MAX_ITER = 100      # calibrate_noise: bisection steps
 CAL_SPAN = 10.0           # build_threshold: ensemble trace span, units of kappa
-MIN_ENSEMBLE_SIZE = 1000  # build_threshold: fewest members per ensemble
 NOISE_CHUNK = 64          # ensemble members per noise block (bounds peak memory)
 GUARD_MEMBERS = 32        # members of each ensemble refitted exactly
 GUARD_MEAN = 0.05         # guard: |mean(projected - exact)| limit, in ensemble stds

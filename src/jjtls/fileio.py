@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,21 +52,22 @@ def _schema(path: str, writers: str, readers: str, fields: str, note: str) -> Sc
 
 
 _STAGES = "simulate detect infer correlate"
+MIN_ENSEMBLE_SIZE = 1000  # build_threshold: fewest members per ensemble
 
 SCHEMAS = {
-    "pipeline": _schema("pipeline.json", "", "simulate detect infer", "", """\
-pipeline config passed as --config (JSON object)
+    "pipeline": _schema("pipeline.json", "", "simulate detect infer", "", f"""\
+pipeline config passed as --config (JSON object); a key not named here is an error
   scenario:  path to scenario.json (relative to the config file)
-  sweep: {
-    bias_plan: [mA, ...]            explicit plan, or
-    bias_start, bias_stop, bias_points: linear plan
-    span: sweep span per trace (GHz)
-    n_points: samples per trace (>= 16)
+  sweep: {{
+    bias_plan: [mA, ...]            explicit plan (wins), or
+    bias_start, bias_stop (mA), bias_points (int >= 1): linear plan
+    span: sweep span per trace (GHz > 0, default 10 kappa)
+    n_points: samples per trace (int >= 16, default 201)
     calibration_interval: [first, last] bias indices of the TLS-free region
     exclusions: [[first, last], ...] manual collision intervals (optional)
-  }
-  detector:  {ensemble_size?: int >= 1000}   optional
-  inference: {area: junction area (um^2), delta_f?: GHz (default: swept range)}
+  }}         each interval an int pair with 0 <= first <= last
+  detector:  {{ensemble_size?: int >= {MIN_ENSEMBLE_SIZE} (default 5000)}}   optional
+  inference: {{area: um^2 > 0, delta_f?: GHz > 0 or null (default: swept range)}}
   seed:      root seed for all synthetic randomness (integer >= 0)"""),
     "scenario": _schema("scenario.json", "", "simulate", "", """\
 synthetic measurement campaign (JSON object)
@@ -341,18 +343,111 @@ def load_scenario(path: Path) -> Scenario:
     return scenario
 
 
-def sweep_plan(sweep_cfg: dict, where: str = "sweep") -> list[float]:
-    if "bias_plan" in sweep_cfg:
-        plan = [float(b) for b in sweep_cfg["bias_plan"]]
-    else:
-        for key in ("bias_start", "bias_stop", "bias_points"):
-            _require(sweep_cfg, key, where)
-        plan = list(np.linspace(float(sweep_cfg["bias_start"]),
-                                float(sweep_cfg["bias_stop"]),
-                                int(sweep_cfg["bias_points"])))
-    if not plan:
-        raise SchemaError(f"{where}: empty bias plan")
-    return plan
+# the keys each section of pipeline.json may hold; "" is the top level
+CONFIG_KEYS = {
+    "": ("scenario", "sweep", "detector", "inference", "seed"),
+    "sweep": ("bias_plan", "bias_start", "bias_stop", "bias_points", "span", "n_points",
+              "calibration_interval", "exclusions"),
+    "detector": ("ensemble_size",),
+    "inference": ("area", "delta_f"),
+}
+
+
+def _section(obj, name: str, label: str) -> dict:
+    """``obj`` if it is a JSON object that holds only keys ``CONFIG_KEYS[name]`` names."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{label} must be an object, got {obj!r}")
+    if extra := sorted(set(obj) - set(CONFIG_KEYS[name])):
+        raise SchemaError(f"{label}{'.' if name else ': '}{extra[0]}: unknown key; "
+                          f"{label} takes {', '.join(CONFIG_KEYS[name])} only")
+    return obj
+
+
+def checked_int(value, field: str, low: int) -> int:
+    """``value`` if it is an int >= ``low`` (JSON true is no count)."""
+    if type(value) is not int or value < low:
+        raise SchemaError(f"{field} must be an int >= {low}, got {value!r}")
+    return value
+
+
+def checked_number(value, field: str, positive: bool = False) -> float:
+    """``value`` as a float if it is a finite number, > 0 if ``positive``."""
+    if (type(value) not in (int, float) or not abs(value) <= sys.float_info.max
+            or positive and value <= 0):
+        raise SchemaError(f"{field} must be a {'positive' if positive else 'finite'} "
+                          f"number, got {value!r}")
+    return float(value)
+
+
+def _interval(value, field: str) -> tuple[int, int]:
+    if not (isinstance(value, list) and len(value) == 2
+            and all(type(v) is int for v in value) and 0 <= value[0] <= value[1]):
+        raise SchemaError(f"{field} must be an int pair 0 <= first <= last, got {value!r}")
+    return tuple(value)
+
+
+def _items(value, field: str, check, *args) -> tuple:
+    if not isinstance(value, list):
+        raise SchemaError(f"{field} must be a list, got {value!r}")
+    return tuple(check(v, f"{field}[{k}]", *args) for k, v in enumerate(value))
+
+
+def _get(section: dict, field: str, check, *args):
+    """``section``'s value of the last part of ``field``, checked; None if absent."""
+    key = field.rpartition(".")[2]
+    return check(section[key], field, *args) if key in section else None
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """Every value a stage reads from pipeline.json, None where a key is absent;
+    ``raw`` is the object as read, ``--seed`` applied, which manifests hash."""
+
+    raw: dict
+    scenario: Path
+    seed: int
+    bias_plan: tuple[float, ...] | None
+    span: float | None
+    n_points: int
+    calibration_interval: tuple[int, int] | None
+    exclusions: tuple[tuple[int, int], ...]
+    ensemble_size: int
+    area: float | None
+    delta_f: float | None
+
+
+def load_pipeline_config(path: Path, seed: int | None = None) -> PipelineConfig:
+    """``path`` read once, every value checked; ``seed`` replaces the config's own."""
+    raw = _section(read_json(path), "", str(path))
+    for key in ("scenario", "sweep", "inference"):
+        if key not in raw:
+            raise SchemaError(f"{path}: missing required section {key!r}")
+    if "seed" not in raw:
+        raise SchemaError(f"{path}: a root seed is mandatory for synthetic runs")
+    checked_seed(raw["seed"], f"{path}: seed")
+    raw = raw if seed is None else {**raw, "seed": seed}
+    if not isinstance(raw["scenario"], str):
+        raise SchemaError(f"scenario must be a path, got {raw['scenario']!r}")
+    sweep, detector, inference = (_section(raw.get(k, {}), k, k)
+                                  for k in ("sweep", "detector", "inference"))
+    start, stop = (_get(sweep, f"sweep.{k}", checked_number) for k in ("bias_start", "bias_stop"))
+    points = _get(sweep, "sweep.bias_points", checked_int, 1)
+    plan = _get(sweep, "sweep.bias_plan", _items, checked_number)
+    if plan == ():
+        raise SchemaError("sweep: empty bias plan")
+    if plan is None and None not in (start, stop, points):
+        plan = tuple(np.linspace(start, stop, points).tolist())
+    delta_f = inference.get("delta_f")  # null: the swept range
+    return PipelineConfig(
+        raw=raw, scenario=Path(path).resolve().parent / raw["scenario"], seed=raw["seed"],
+        bias_plan=plan, span=_get(sweep, "sweep.span", checked_number, True),
+        n_points=checked_int(sweep.get("n_points", 201), "sweep.n_points", 16),
+        calibration_interval=_get(sweep, "sweep.calibration_interval", _interval),
+        exclusions=_items(sweep.get("exclusions", []), "sweep.exclusions", _interval),
+        ensemble_size=checked_int(detector.get("ensemble_size", 5000),
+                                  "detector.ensemble_size", MIN_ENSEMBLE_SIZE),
+        area=_get(inference, "inference.area", checked_number, True),
+        delta_f=None if delta_f is None else checked_number(delta_f, "inference.delta_f", True))
 
 
 def trace_from_csv(path: Path, data: bytes | None = None) -> Trace:

@@ -16,23 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CalibrationError, JJTLSError, SchemaError, ValidationError
-from .fileio import (SCHEMAS, calibration_from_dict, checked_seed, load_scenario,
-                     read_csv, read_densities_csv, read_json, read_morphology_csv,
-                     read_record, run_path, sweep_plan, trace_from_csv,
+from .fileio import (SCHEMAS, PipelineConfig, calibration_from_dict, checked_int,
+                     checked_number, load_scenario, read_csv, read_densities_csv,
+                     read_morphology_csv, read_record, run_path, trace_from_csv,
                      write_csv, write_record, write_text)
 from .manifest import listing, unlisted, vouches, write_manifest
-
-
-def load_pipeline_config(path: Path) -> dict:
-    cfg = read_json(path)
-    cfg["_dir"] = str(Path(path).resolve().parent)
-    for key in ("scenario", "sweep", "inference"):
-        if key not in cfg:
-            raise SchemaError(f"{path}: missing required section {key!r}")
-    if "seed" not in cfg:
-        raise SchemaError(f"{path}: a root seed is mandatory for synthetic runs")
-    checked_seed(cfg["seed"], f"{path}: seed")
-    return cfg
 
 
 class _Clock:
@@ -52,15 +40,6 @@ class _Clock:
 
     def timings(self) -> dict:
         return {"seconds": time.perf_counter() - self.t0, "phases": self.phases}
-
-
-def _config_for_hash(cfg: dict) -> dict:
-    return {k: v for k, v in cfg.items() if not k.startswith("_")}
-
-
-def _resolve(cfg: dict, maybe_path: str) -> Path:
-    p = Path(maybe_path)
-    return p if p.is_absolute() else Path(cfg["_dir"]) / p
 
 
 def _fit_columns(traces, fits) -> list:
@@ -90,7 +69,7 @@ def _trace_index(path: Path) -> int:
     return int(k)
 
 
-def cmd_simulate(cfg: dict, outdir: Path) -> dict:
+def cmd_simulate(cfg: PipelineConfig, outdir: Path) -> dict:
     """Drive the virtual instrument along the bias plan; write trace CSVs."""
     from .detector import curve_follow
     from .physics import scenario_instrument
@@ -98,43 +77,34 @@ def cmd_simulate(cfg: dict, outdir: Path) -> dict:
     outdir = Path(outdir)
     if any(outdir.glob(SCHEMAS["trace"].path)):
         raise ValidationError(f"{outdir / 'traces'} holds another run's traces; use a new --outdir")
-    scenario = load_scenario(_resolve(cfg, cfg["scenario"]))
-    scenario = replace(scenario, rng_seed=cfg["seed"])
-    sweep_cfg = cfg["sweep"]
-    plan = sweep_plan(sweep_cfg)
-    span = float(sweep_cfg.get("span", 10 * scenario.resonator.kappa))
-    n_points = int(sweep_cfg.get("n_points", 201))
+    if cfg.bias_plan is None:
+        raise SchemaError("sweep: simulate needs bias_plan or bias_start, bias_stop, bias_points")
+    scenario = replace(load_scenario(cfg.scenario), rng_seed=cfg.seed)
+    span = 10 * scenario.resonator.kappa if cfg.span is None else cfg.span
 
     with clock.phase("sweep"):
-        sweep = curve_follow(scenario_instrument(scenario), plan, span, n_points)
+        sweep = curve_follow(scenario_instrument(scenario), cfg.bias_plan, span, cfg.n_points)
     with clock.phase("write"):
         files = [write_csv(outdir, "trace", [np.full(len(t), t.bias_current), t.freqs,
                                              t.s21.real, t.s21.imag], f"{k:04d}")
                  for k, t in enumerate(sweep.traces)]
         files.append(write_csv(outdir, "loop_fits", _fit_columns(sweep.traces, sweep.fits)))
         files.append(write_record(outdir, "scenario_used", asdict(scenario)))
-    write_manifest(outdir, "simulate", _config_for_hash(cfg), files,
-                   timings=clock.timings())
+    write_manifest(outdir, "simulate", cfg.raw, files, timings=clock.timings())
     return {"n_traces": len(sweep.traces), "outdir": str(outdir)}
 
 
-def cmd_detect(cfg: dict, outdir: Path) -> dict:
+def cmd_detect(cfg: PipelineConfig, outdir: Path) -> dict:
     """Fit traces in bias order, calibrate the detector, and emit the detected events."""
-    from .detector import (MIN_ENSEMBLE_SIZE, SweepDataset, apply_exclusions,
-                           build_threshold, calibrate_noise, count_sweep, fit_next)
+    from .detector import (SweepDataset, apply_exclusions, build_threshold,
+                           calibrate_noise, count_sweep, fit_next)
     from .physics import ResonatorParams
     from .svgplot import Panel, render
     clock = _Clock()
     outdir = Path(outdir)
-    det_cfg = cfg.get("detector", {})
-    if not isinstance(det_cfg, dict):
-        raise SchemaError(f"detector must be an object, got {det_cfg!r}")
-    if extra := sorted(set(det_cfg) - {"ensemble_size"}):
-        raise SchemaError(f"detector.{extra[0]}: unknown key; detector takes ensemble_size only")
-    ensemble_size = det_cfg.get("ensemble_size", 5000)
-    if type(ensemble_size) is not int or ensemble_size < MIN_ENSEMBLE_SIZE:  # true is no count
-        raise SchemaError(f"detector.ensemble_size must be an int >= {MIN_ENSEMBLE_SIZE}, "
-                          f"got {ensemble_size!r}")
+    if cfg.calibration_interval is None:
+        raise SchemaError("sweep.calibration_interval is required for detection")
+    lo, hi = cfg.calibration_interval
     trace_files = sorted(outdir.glob(SCHEMAS["trace"].path), key=_trace_index)
     if not trace_files:
         raise SchemaError(f"no trace files {outdir / SCHEMAS['trace'].path}; "
@@ -146,6 +116,9 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
     with clock.phase("load"):
         blobs = {p: p.read_bytes() for p in trace_files}
         traces = tuple(trace_from_csv(p, data) for p, data in blobs.items())
+        if hi >= len(traces):
+            raise ValidationError(f"sweep.calibration_interval [{lo}, {hi}] outside sweep "
+                                  f"of {len(traces)} steps")
         order = np.argsort([t.bias_current for t in traces], kind="stable")
         # simulate's closed loop fitted these very bytes in this order
         if (order == np.arange(len(order))).all() and table.is_file():
@@ -162,8 +135,7 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
                 fits[i] = fit_next(traces[i], history)
 
     sweep = SweepDataset(traces=traces, fits=tuple(fits))
-    manual = [tuple(iv) for iv in cfg["sweep"].get("exclusions", [])]
-    sweep = apply_exclusions(sweep, manual)
+    sweep = apply_exclusions(sweep, cfg.exclusions)
 
     with clock.phase("write"):
         columns = _fit_columns(traces, fits)   # fits.csv drops A, alpha, phi_v, phi_0, n_evals
@@ -171,10 +143,6 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
 
     # --- calibration from the user-designated flat interval; on failure the
     # fit table above stays on disk for inspection
-    cal_iv = cfg["sweep"].get("calibration_interval")
-    if cal_iv is None:
-        raise SchemaError("sweep.calibration_interval is required for detection")
-    lo, hi = int(cal_iv[0]), int(cal_iv[1])
     included = set(sweep.included_indices().tolist())
     cal_idx = [i for i in range(lo, hi + 1) if i in included]
     if len(cal_idx) < 3:
@@ -186,17 +154,16 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
         raise CalibrationError(
             f"calibration region not flat: max/median = {flatness:.2f} >= 2")
     baseline_i = cal_idx[int(np.argsort(cal_res)[len(cal_res) // 2])]
-    seed = cfg["seed"]
     with clock.phase("calibrate_noise"):
-        noise_sigma = calibrate_noise(traces[baseline_i], fits[baseline_i], seed=seed)
+        noise_sigma = calibrate_noise(traces[baseline_i], fits[baseline_i], seed=cfg.seed)
 
     # average fitted parameters over the calibration interval
     pvecs = np.array([fits[i].params.as_array() for i in cal_idx])
     cal_params = ResonatorParams.from_array(pvecs.mean(axis=0))
     with clock.phase("build_threshold"):
         calib = build_threshold(cal_params, noise_sigma,
-                                ensemble_size=ensemble_size,
-                                seed=seed, n_points=len(traces[baseline_i]))
+                                ensemble_size=cfg.ensemble_size,
+                                seed=cfg.seed, n_points=len(traces[baseline_i]))
     with clock.phase("count"):
         count = count_sweep(sweep, calib)
     series, events = count.series, count.events
@@ -232,36 +199,32 @@ def cmd_detect(cfg: dict, outdir: Path) -> dict:
                                 series.shift_axis[min(b, len(series) - 1)])
         files.append(write_text(outdir, "residuals_plot", render(panel)))
 
-    write_manifest(outdir, "detect", _config_for_hash(cfg), files,
-                   timings=clock.timings())
+    write_manifest(outdir, "detect", cfg.raw, files, timings=clock.timings())
     return {"n_events": len(events), "n_bins": count.n_bins, "threshold": calib.threshold,
             "noise_sigma": noise_sigma, "outdir": str(outdir)}
 
 
-def cmd_infer(cfg: dict, outdir: Path) -> dict:
+def cmd_infer(cfg: PipelineConfig, outdir: Path) -> dict:
     """Convert detections into a posterior TLS count and density estimate."""
     from .inference import InferenceInput, density, posterior, true_rates
     from .svgplot import Panel, render
     clock = _Clock()
     outdir = Path(outdir)
+    if cfg.area is None:
+        raise SchemaError("inference.area (junction area in um^2) is required")
     with clock.phase("load"):
-        meta = read_record(run_path(outdir, "detection_meta"), "detection_meta")
+        meta = read_record(path := run_path(outdir, "detection_meta"), "detection_meta")
         calib = calibration_from_dict(
             read_record(run_path(outdir, "calibration"), "calibration"))
-
-    inf_cfg = cfg.get("inference", {})
-    if "area" not in inf_cfg:
-        raise SchemaError("inference.area (junction area in um^2) is required")
-    area = float(inf_cfg["area"])
-    delta_f = inf_cfg.get("delta_f")
-    delta_f = float(meta["delta_f_GHz"]) if delta_f is None else float(delta_f)
+    n_detected, n_bins = (checked_int(meta[k], f"{path}: {k}", low)
+                          for k, low in (("n_detected", 0), ("n_bins", 1)))
+    delta_f = cfg.delta_f or checked_number(meta["delta_f_GHz"], f"{path}: delta_f_GHz", True)
 
     rates = true_rates(calib.fp, calib.fn)
-    inp = InferenceInput(n_detected=int(meta["n_detected"]),
-                         n_bins=int(meta["n_bins"]), rates=rates)
+    inp = InferenceInput(n_detected=n_detected, n_bins=n_bins, rates=rates)
     with clock.phase("posterior"):
         post = posterior(inp)
-    est = density(post, delta_f=delta_f, area=area)
+    est = density(post, delta_f=delta_f, area=cfg.area)
 
     files = [write_csv(outdir, "posterior", [np.arange(post.pmf.size), post.pmf])]
     files.append(write_record(outdir, "estimate", {
@@ -271,7 +234,7 @@ def cmd_infer(cfg: dict, outdir: Path) -> dict:
         "mean_count": post.mean_count,
         "count_ci68": [post.ci68[0], post.ci68[1]],
         "delta_f_GHz": delta_f,
-        "area_um2": area,
+        "area_um2": cfg.area,
         "rates": {"fp": rates.fp, "fn": rates.fn, "FP": rates.FP, "FN": rates.FN},
     }))
 
@@ -290,8 +253,7 @@ def cmd_infer(cfg: dict, outdir: Path) -> dict:
     bottom.add_vspan(post.ci68[0], post.ci68[1])
     files.append(write_text(outdir, "posterior_plot", render([top, bottom])))
 
-    write_manifest(outdir, "infer", _config_for_hash(cfg), files,
-                   timings=clock.timings())
+    write_manifest(outdir, "infer", cfg.raw, files, timings=clock.timings())
     return {"rho": est.rho, "ci68": list(est.ci68), "lambda_star": post.lambda_star,
             "outdir": str(outdir)}
 

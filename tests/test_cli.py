@@ -92,6 +92,81 @@ PINNED_FIELDS = {
 }
 
 
+ABSENT = object()  # a key left out of the config
+
+# The files each stage reads from a run directory of full_run.
+STAGE_INPUTS = {
+    "simulate": [],
+    "detect": ["traces", "loop_fits.csv", "manifest_simulate.json", "scenario_used.json"],
+    "infer": ["detection_meta.json", "calibration.json"],
+}
+SWEEP_KEYS = ("bias_plan, bias_start, bias_stop, bias_points, span, n_points, "
+              "calibration_interval, exclusions")
+PAIR = "must be an int pair 0 <= first <= last, got"
+
+# (stage, where, value, the error line): ``where`` is a dotted key of write_config's
+# config, "" for the whole config, or "meta:" and a key of detection_meta.json;
+# {config} and {run} in the error line stand for the config file and run directory
+CONFIG_FAILURES = [
+    ("simulate", "sweep.bias_points", 90.5, "sweep.bias_points must be an int >= 1, got 90.5"),
+    ("simulate", "sweep.n_points", 201.9, "sweep.n_points must be an int >= 16, got 201.9"),
+    ("simulate", "sweep.bias_plan", ["a"],
+     "sweep.bias_plan[0] must be a finite number, got 'a'"),
+    ("simulate", "sweep.span", "x", "sweep.span must be a positive number, got 'x'"),
+    ("simulate", "sweep", 5, "sweep must be an object, got 5"),
+    ("simulate", "", [], "{config} must be an object, got []"),
+    ("simulate", "sweep.bias_start", ABSENT,
+     "sweep: simulate needs bias_plan or bias_start, bias_stop, bias_points"),
+    ("detect", "detector", 5, "detector must be an object, got 5"),
+    ("detect", "detector.ensemble_size", "abc",
+     "detector.ensemble_size must be an int >= 1000, got 'abc'"),
+    ("detect", "detector.ensemble_size", 1200.7,
+     "detector.ensemble_size must be an int >= 1000, got 1200.7"),
+    ("detect", "detector.ensemble_size", True,
+     "detector.ensemble_size must be an int >= 1000, got True"),
+    ("detect", "detector.ensemble_size", 999,
+     "detector.ensemble_size must be an int >= 1000, got 999"),
+    *(("detect", "sweep.calibration_interval", iv, f"sweep.calibration_interval {PAIR} {iv!r}")
+      for iv in ("ab", [0.5, 14.7], [14, 0], [0, 14, 99])),
+    ("detect", "sweep.calibration_interval", [0, 500],
+     "sweep.calibration_interval [0, 500] outside sweep of 90 steps"),
+    ("detect", "sweep.calibration_interval", ABSENT,
+     "sweep.calibration_interval is required for detection"),
+    *(("detect", "sweep.exclusions", [iv], f"sweep.exclusions[0] {PAIR} {iv!r}")
+      for iv in ([0.5, 3], [True, 3], [1])),
+    ("detect", "sweep.exclusion", [[30, 40]],
+     f"sweep.exclusion: unknown key; sweep takes {SWEEP_KEYS} only"),
+    ("detect", "exclusions", [[30, 40]], "{config}: exclusions: unknown key; "
+     "{config} takes scenario, sweep, detector, inference, seed only"),
+    ("infer", "inference.area", "x", "inference.area must be a positive number, got 'x'"),
+    ("infer", "inference.area", True, "inference.area must be a positive number, got True"),
+    ("infer", "inference.area", ABSENT, "inference.area (junction area in um^2) is required"),
+    ("infer", "inference.delta_f", "x",
+     "inference.delta_f must be a positive number, got 'x'"),
+    ("infer", "inference.areas", 100.0,
+     "inference.areas: unknown key; inference takes area, delta_f only"),
+    ("infer", "inference", 3, "inference must be an object, got 3"),
+    ("infer", "meta:n_detected", "x",
+     "{run}/detection_meta.json: n_detected must be an int >= 0, got 'x'"),
+    ("infer", "meta:n_detected", 2.7,
+     "{run}/detection_meta.json: n_detected must be an int >= 0, got 2.7"),
+    ("infer", "meta:n_bins", True,
+     "{run}/detection_meta.json: n_bins must be an int >= 1, got True"),
+    ("infer", "meta:delta_f_GHz", "x",
+     "{run}/detection_meta.json: delta_f_GHz must be a positive number, got 'x'"),
+]
+# the detector cases keep the ids they had before the table covered every stage
+DETECTOR_IDS = {"5": "not-an-object", "'abc'": "text", "1200.7": "fraction",
+                "True": "true", "999": "below-1000"}
+
+
+def case_id(stage, where, value, shown) -> str:
+    if where.startswith("detector"):
+        return DETECTOR_IDS[repr(value)]
+    return f"{stage}-{where or 'config'}-" + ("absent" if value is ABSENT else
+                                              json.dumps(value).replace(" ", "").replace('"', ""))
+
+
 class TestSimulate:
     def test_no_defects_fifty_traces(self, tmp_path):
         cfg = write_config(tmp_path, scenario="scenario_no_defects.json",
@@ -172,6 +247,14 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--outdir", str(out),
                      "--seed", seed]) == 0
         assert json.loads((out / "scenario_used.json").read_text())["rng_seed"] == int(seed)
+        # the manifest hashes the config with --seed applied: it is the manifest
+        # of a config whose own seed is that seed
+        (tmp_path / "own").mkdir()
+        own = write_config(tmp_path / "own", sweep={"bias_points": 5, "bias_stop": 54.0},
+                           seed=int(seed))
+        assert main(["simulate", "--config", str(own), "--outdir", str(tmp_path / "o")]) == 0
+        assert (out / "manifest_simulate.json").read_bytes() == \
+            (tmp_path / "o" / "manifest_simulate.json").read_bytes()
 
     @pytest.mark.parametrize("command,seed", [
         ("simulate", "-1"), ("simulate", "1.5"), ("simulate", "abc"),
@@ -273,28 +356,41 @@ class TestDetect:
         assert len(err.strip().splitlines()) == 1
         assert detect_outputs(tmp_path / "run") == detect_outputs(out)
 
-    @pytest.mark.parametrize("detector, shown", [
-        (5, "detector must be an object, got 5"),
-        ({"ensemble_size": "abc"}, "detector.ensemble_size must be an int >= 1000, got 'abc'"),
-        ({"ensemble_size": 1200.7}, "detector.ensemble_size must be an int >= 1000, got 1200.7"),
-        ({"ensemble_size": True}, "detector.ensemble_size must be an int >= 1000, got True"),
-        ({"ensemble_size": 999}, "detector.ensemble_size must be an int >= 1000, got 999"),
-    ], ids=["not-an-object", "text", "fraction", "true", "below-1000"])
+    @pytest.mark.parametrize("stage, where, value, shown", CONFIG_FAILURES,
+                             ids=[case_id(*case) for case in CONFIG_FAILURES])
     def test_detector_types_checked_before_writing(self, full_run, tmp_path, capsys,
-                                                   detector, shown):
-        # one error line and exit 1 before any output: neither a traceback, nor a
-        # fits.csv left behind, nor an ensemble size silently truncated
+                                                   stage, where, value, shown):
+        # one error line naming the key and exit 1 before any output: neither a
+        # traceback, nor a file left behind, nor a value silently truncated or ignored
         _, out = full_run
         run = tmp_path / "run"
-        shutil.copytree(out / "traces", run / "traces")
-        for name in ("loop_fits.csv", "manifest_simulate.json", "scenario_used.json"):
-            shutil.copy(out / name, run / name)
+        run.mkdir()
+        for name in STAGE_INPUTS[stage]:
+            (shutil.copytree if name == "traces" else shutil.copy)(out / name, run / name)
+        cfg = json.loads(write_config(tmp_path).read_text())
+        if where.startswith("meta:"):
+            meta = json.loads((run / "detection_meta.json").read_text())
+            (run / "detection_meta.json").write_text(json.dumps({**meta, where[5:]: value}))
+        elif where == "":
+            cfg = value
+        else:
+            *sections, key = where.split(".")
+            section = cfg
+            for name in sections:
+                section = section[name]
+            if value is ABSENT:
+                del section[key]
+            else:
+                section[key] = value
+        path = tmp_path / "pipeline.json"
+        path.write_text(json.dumps(cfg))
         before = run_files(run)
-        cfg = write_config(tmp_path, detector=detector)
-        assert main(["detect", "--config", str(cfg), "--outdir", str(run)]) == 1
+        assert main([stage, "--config", str(path), "--outdir", str(run)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {shown}\n"
+        assert err == "error: " + shown.format(config=path, run=run) + "\n"
+        assert where.rpartition(".")[2].removeprefix("meta:") in err
         assert run_files(run) == before
+        assert (run / "traces").exists() == (stage == "detect")
 
     def test_calibration_failure_preserves_partial_outputs(self, full_run,
                                                            tmp_path):

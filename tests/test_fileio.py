@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 
 import _oracles
 from jjtls.errors import SchemaError, ValidationError
-from jjtls.fileio import (SCHEMAS, load_scenario, read_csv, read_densities_csv,
-                          read_morphology_csv, trace_from_csv, write_csv, write_json,
-                          write_record)
+from jjtls.fileio import (CONFIG_KEYS, MIN_ENSEMBLE_SIZE, SCHEMAS, load_pipeline_config,
+                          load_scenario, read_csv, read_densities_csv, read_morphology_csv,
+                          trace_from_csv, write_csv, write_json, write_record)
 from jjtls.manifest import config_hash, sha256_file, write_manifest
 from jjtls.physics import ResonatorParams, synth_trace
 from jjtls.svgplot import Panel, render
@@ -258,6 +259,56 @@ class TestScenarioFile:
         for seed in (0, 2**70):
             p.write_text(json.dumps({**raw, "rng_seed": seed}))
             assert load_scenario(p).rng_seed == seed
+
+
+class TestPipelineConfig:
+    """The config shapes the repository itself writes, read value by value."""
+
+    def test_fixture(self):
+        path = FIXTURES / "pipeline.json"
+        cfg = load_pipeline_config(path)
+        assert cfg.raw == json.loads(path.read_text())
+        assert cfg.scenario == FIXTURES.resolve() / "scenario_three_defects.json"
+        assert cfg.seed == 7
+        assert cfg.bias_plan == tuple(np.linspace(50.0, 110.0, 90).tolist())
+        assert (cfg.span, cfg.n_points) == (0.01, 201)
+        assert (cfg.calibration_interval, cfg.exclusions) == ((0, 14), ())
+        assert (cfg.ensemble_size, cfg.area, cfg.delta_f) == (1200, 100.0, None)
+        # --seed replaces the seed of the object the manifests hash, and only that
+        again = load_pipeline_config(path, seed=3)
+        assert again.seed == 3 and again.raw == {**cfg.raw, "seed": 3}
+        assert again == load_pipeline_config(path, 3) and cfg.raw["seed"] == 7
+
+    def test_infer_only_shape(self, tmp_path):
+        # perfbench's wideband infer.json: no plan, interval or detector section
+        raw = {"scenario": "not-used-by-infer.json", "sweep": {},
+               "inference": {"area": 0.5, "delta_f": None}, "seed": 1}
+        (tmp_path / "infer.json").write_text(json.dumps(raw))
+        cfg = load_pipeline_config(tmp_path / "infer.json")
+        assert cfg.scenario == tmp_path.resolve() / "not-used-by-infer.json"
+        assert (cfg.bias_plan, cfg.span, cfg.calibration_interval) == (None, None, None)
+        assert (cfg.n_points, cfg.exclusions, cfg.ensemble_size) == (201, (), 5000)
+        assert (cfg.area, cfg.delta_f, cfg.raw) == (0.5, None, raw)
+
+    def test_default_ensemble_and_explicit_plan(self, tmp_path):
+        # perfbench/reference.py's 5000-member config: the fixture with an absolute
+        # scenario and no ensemble_size; an explicit bias_plan wins over the linear keys
+        raw = json.loads((FIXTURES / "pipeline.json").read_text())
+        raw["scenario"] = str(FIXTURES / raw["scenario"])
+        del raw["detector"]["ensemble_size"]
+        raw["sweep"]["bias_plan"] = [60, 55.5]
+        (tmp_path / "pipeline-5000.json").write_text(json.dumps(raw))
+        cfg = load_pipeline_config(tmp_path / "pipeline-5000.json")
+        assert cfg.scenario == FIXTURES / "scenario_three_defects.json"
+        assert cfg.ensemble_size == 5000
+        assert cfg.bias_plan == (60.0, 55.5) and type(cfg.bias_plan[0]) is float
+
+    def test_note_names_every_key(self):
+        note = SCHEMAS["pipeline"].note
+        missing = [k for keys in CONFIG_KEYS.values() for k in keys
+                   if not re.search(rf"\b{k}\b", note)]
+        assert not missing
+        assert f"ensemble_size?: int >= {MIN_ENSEMBLE_SIZE}" in note
 
 
 class TestCorrelateInputs:
