@@ -374,10 +374,8 @@ class TestDetect:
         elif where == "":
             cfg = value
         else:
-            *sections, key = where.split(".")
-            section = cfg
-            for name in sections:
-                section = section[name]
+            head, _, key = where.rpartition(".")
+            section = cfg[head] if head else cfg
             if value is ABSENT:
                 del section[key]
             else:
