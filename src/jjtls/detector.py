@@ -55,33 +55,31 @@ class Exclusion:
 
 @dataclass(frozen=True)
 class SweepDataset:
-    """Ordered traces with their fits and exclusion bookkeeping."""
+    """Fits in bias order, the bias current of each, and exclusion bookkeeping;
+    ``traces`` are the measured traces where the sweep keeps them (``curve_follow``)."""
 
-    traces: tuple[Trace, ...]
+    bias_currents: np.ndarray
     fits: tuple[FitResult, ...]
     exclusions: tuple[Exclusion, ...] = ()
+    traces: tuple[Trace, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "traces", tuple(self.traces))
+        object.__setattr__(self, "bias_currents", np.array(self.bias_currents, dtype=float))
         object.__setattr__(self, "fits", tuple(self.fits))
         object.__setattr__(self, "exclusions", _merge_exclusions(self.exclusions))
-        if len(self.traces) != len(self.fits):
-            raise ValidationError("one fit per trace required")
+        if len(self.bias_currents) != len(self.fits):
+            raise ValidationError("one fit per bias current required")
         for ex in self.exclusions:
-            ex.validate(len(self.traces))
+            ex.validate(len(self.fits))
 
     def __len__(self) -> int:
-        return len(self.traces)
+        return len(self.fits)
 
     def included_indices(self) -> np.ndarray:
         mask = np.array([f.converged for f in self.fits], dtype=bool)
         for ex in self.exclusions:
             mask[ex.start:ex.stop + 1] = False
         return np.flatnonzero(mask)
-
-    @property
-    def bias_currents(self) -> np.ndarray:
-        return np.array([t.bias_current for t in self.traces])
 
     @property
     def f0s(self) -> np.ndarray:
@@ -205,7 +203,7 @@ def curve_follow(instrument, bias_plan, span: float, n_points: int) -> SweepData
             center = fit.params.f_r
         traces.append(trace)
         fits.append(fit)
-    return SweepDataset(traces=tuple(traces), fits=tuple(fits))
+    return SweepDataset([t.bias_current for t in traces], fits, traces=tuple(traces))
 
 
 def apply_exclusions(sweep: SweepDataset, manual=()) -> SweepDataset:
@@ -216,7 +214,7 @@ def apply_exclusions(sweep: SweepDataset, manual=()) -> SweepDataset:
     """
     n = len(sweep)
     extra = [Exclusion(int(a), int(b), "collision").validate(n) for a, b in manual]
-    candidate = SweepDataset(sweep.traces, sweep.fits, sweep.exclusions + tuple(extra))
+    candidate = replace(sweep, exclusions=sweep.exclusions + tuple(extra))
 
     idx = candidate.included_indices()
     if idx.size >= 5:
@@ -230,7 +228,7 @@ def apply_exclusions(sweep: SweepDataset, manual=()) -> SweepDataset:
         if (0 < p < idx.size - 1
                 and f0[p] - f0[0] > floor and f0[p] - f0[-1] > floor):
             extra.append(Exclusion(int(idx[p]) + 1, n - 1, "past-maximum"))
-    return SweepDataset(sweep.traces, sweep.fits, sweep.exclusions + tuple(extra))
+    return replace(sweep, exclusions=sweep.exclusions + tuple(extra))
 
 
 def normalize_axis(sweep: SweepDataset, kappa: float | None = None) -> ResidualSeries:

@@ -7,12 +7,14 @@ repeated runs with identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -186,33 +188,48 @@ def run_path(outdir: Path, name: str, tag: str = "") -> Path:
     return Path(outdir) / SCHEMAS[name].path.replace("*", tag)
 
 
-def atomic_write_text(path: Path, text: str) -> None:
+def sha256_bytes(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class Written(NamedTuple):
+    """A file as written: its path and the sha256 and size of its bytes."""
+
+    path: Path
+    sha256: str
+    size: int
+
+
+def atomic_write_text(path: Path, text: str) -> Written:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    data = text.encode("utf-8")
+    tmp.write_bytes(data)
     os.replace(tmp, path)
+    return Written(path, sha256_bytes(data), len(data))
 
 
-def write_json(path: Path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def write_json(path: Path, obj) -> Written:
+    return atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def write_text(outdir: Path, name: str, text: str, tag: str = "") -> Path:
-    """Write a file of schema ``name`` into a run directory; its path."""
-    path = run_path(outdir, name, tag)
-    atomic_write_text(path, text)
-    return path
+def write_text(outdir: Path, name: str, text: str, tag: str = "") -> Written:
+    """Write a file of schema ``name`` into a run directory."""
+    return atomic_write_text(run_path(outdir, name, tag), text)
 
 
-def write_csv(outdir: Path, name: str, columns, tag: str = "") -> Path:
+def write_csv(outdir: Path, name: str, columns, tag: str = "") -> Written:
     """Write schema ``name`` with its header from its columns in table order,
     each formatted in one pass: floats in shortest round-trip form, ints and
     strings as they are.  A column holds one type (an int among floats would
-    print as a float); no columns at all write the header alone."""
+    print as a float); a scalar column is one value on every row, formatted
+    once; no columns at all write the header alone."""
     fields = SCHEMAS[name].fields
-    cells = [list(map(repr if col.dtype.kind == "f" else str, col.tolist()))
-             for col in map(np.asarray, columns)] or [[]] * len(fields)
+    cols = list(map(np.asarray, columns))
+    rows = max((len(col) for col in cols if col.ndim), default=1)
+    cells = [list(map(repr if col.dtype.kind == "f" else str, col.ravel().tolist()))
+             * (1 if col.ndim else rows) for col in cols] or [[]] * len(fields)
     if len(cells) != len(fields) or len(set(map(len, cells))) != 1:
         raise SchemaError(f"{name}: columns of {[len(c) for c in cells]} values "
                           f"for {len(fields)} columns")
@@ -220,14 +237,12 @@ def write_csv(outdir: Path, name: str, columns, tag: str = "") -> Path:
     return write_text(outdir, name, "\n".join(lines) + "\n", tag)
 
 
-def write_record(outdir: Path, name: str, record: dict, tag: str = "") -> Path:
+def write_record(outdir: Path, name: str, record: dict, tag: str = "") -> Written:
     """Write schema ``name`` as JSON after checking its keys against the table."""
     s = SCHEMAS[name]
     if not set(s.required) <= set(record) <= set(s.keys):
         raise SchemaError(f"{name}: keys {sorted(record)} do not match {s.fields}")
-    path = run_path(outdir, name, tag)
-    write_json(path, record)
-    return path
+    return write_json(run_path(outdir, name, tag), record)
 
 
 def read_json(path: Path):
@@ -379,6 +394,13 @@ def checked_number(value, field: str, positive: bool = False) -> float:
     return float(value)
 
 
+def checked_pair(value, field: str) -> tuple[float, float]:
+    """``value`` as a pair of floats if it is a list of two finite numbers."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise SchemaError(f"{field} must be a pair of numbers, got {value!r}")
+    return tuple(checked_number(v, f"{field}[{k}]") for k, v in enumerate(value))
+
+
 def _interval(value, field: str) -> tuple[int, int]:
     if not (isinstance(value, list) and len(value) == 2
             and all(type(v) is int for v in value) and 0 <= value[0] <= value[1]):
@@ -455,6 +477,11 @@ def trace_from_csv(path: Path, data: bytes | None = None) -> Trace:
     return Trace(freqs=freqs, s21=re + 1j * im, bias_current=float(bias[0]))
 
 
+def trace_current(path: Path, data: bytes) -> float:
+    """A trace file's bias current as :func:`trace_from_csv` reads it, from two lines."""
+    return float(read_csv(path, "trace", data=b"\n".join(data.split(b"\n", 2)[:2]))[0][0])
+
+
 @dataclass(frozen=True)
 class DetectorCalibration:
     """Threshold and error rates calibrated from synthetic ensembles."""
@@ -473,15 +500,16 @@ class DetectorCalibration:
             raise ValidationError("threshold must lie between the two residual means")
 
 
-def calibration_from_dict(raw: dict) -> DetectorCalibration:
-    """The calibration of a record that :func:`read_record` has checked."""
+def calibration_from_dict(raw: dict, path: Path) -> DetectorCalibration:
+    """The calibration of a record that :func:`read_record` has checked;
+    every value must be a number, gauss_noise and gauss_tls pairs of them."""
+    values = {k: checked_number(raw[k], f"{path}: {k}")
+              for k in ("threshold", "fp", "fn", "noise_sigma")}
+    values |= {k: checked_pair(raw[k], f"{path}: {k}") for k in ("gauss_noise", "gauss_tls")}
     try:
-        return DetectorCalibration(
-            threshold=float(raw["threshold"]), fp=float(raw["fp"]),
-            fn=float(raw["fn"]), noise_sigma=float(raw["noise_sigma"]),
-            gauss_noise=tuple(raw["gauss_noise"]), gauss_tls=tuple(raw["gauss_tls"]))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"calibration: {exc}")
+        return DetectorCalibration(**values)
+    except ValidationError as exc:
+        raise SchemaError(f"{path}: {exc}")
 
 
 # --------------------------------------------------------------------------

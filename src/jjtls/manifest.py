@@ -8,21 +8,12 @@ repeated runs with the same seed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
 from . import __version__
 from .errors import SchemaError
-from .fileio import read_record, run_path, write_record
-
-
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def sha256_file(path: Path) -> str:
-    return sha256_bytes(Path(path).read_bytes())
+from .fileio import read_record, run_path, sha256_bytes, write_record
 
 
 def _listed(outdir: Path, f: Path) -> str:
@@ -35,24 +26,19 @@ def config_hash(config: dict) -> str:
     return sha256_bytes(canon.encode())
 
 
-def write_manifest(outdir: Path, stage: str, config: dict, output_files,
+def write_manifest(outdir: Path, stage: str, config: dict, outputs,
                    timings: dict | None = None) -> Path:
-    """Write manifest_<stage>.json listing every output with its checksum."""
+    """Write manifest_<stage>.json listing every output, a ``fileio.Written``,
+    with the checksum and size of the bytes written; it reads no output back."""
     outdir = Path(outdir)
-    outputs = []
-    for f in sorted(Path(f) for f in output_files):
-        outputs.append({
-            "path": _listed(outdir, f),
-            "sha256": sha256_file(f),
-            "bytes": f.stat().st_size,
-        })
     manifest = {
         "stage": stage,
         "config_hash": config_hash(config),
         "package_version": __version__,
-        "outputs": outputs,
+        "outputs": [{"path": _listed(outdir, w.path), "sha256": w.sha256, "bytes": w.size}
+                    for w in sorted(outputs)],
     }
-    path = write_record(outdir, "manifest", manifest, stage)
+    path = write_record(outdir, "manifest", manifest, stage).path
     if timings is not None:
         write_record(outdir, "timings", timings, stage)
     return path

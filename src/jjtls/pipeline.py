@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import CalibrationError, JJTLSError, SchemaError, ValidationError
 from .fileio import (SCHEMAS, PipelineConfig, calibration_from_dict, checked_int,
-                     checked_number, load_scenario, read_csv, read_densities_csv,
-                     read_morphology_csv, read_record, run_path, trace_from_csv,
-                     write_csv, write_record, write_text)
+                     checked_number, checked_pair, load_scenario, read_csv,
+                     read_densities_csv, read_morphology_csv, read_record, run_path,
+                     trace_current, trace_from_csv, write_csv, write_record, write_text)
 from .manifest import listing, unlisted, vouches, write_manifest
 
 
@@ -42,24 +42,38 @@ class _Clock:
         return {"seconds": time.perf_counter() - self.t0, "phases": self.phases}
 
 
-def _fit_columns(traces, fits) -> list:
-    """The columns of ``loop_fits.csv``: current, the 8 parameters, metric,
+def _fit_columns(bias, fits) -> list:
+    """The columns of ``loop_fits.csv``: bias current, the 8 parameters, metric,
     converged (1 or 0) and evaluations of each trace's fit."""
     params = np.array([f.params.as_array() for f in fits])
-    return [[t.bias_current for t in traces], *params.T, [f.residual_metric for f in fits],
+    return [bias, *params.T, [f.residual_metric for f in fits],
             [int(f.converged) for f in fits], [f.n_evals for f in fits]]
 
 
-def _loop_fits(path: Path, data: bytes, traces) -> list | None:
-    """The fits of ``loop_fits.csv`` (read as ``data``), or None unless its
-    rows pair one to one with ``traces`` by bias current."""
+def _loop_fits(table: Path, blobs: dict, trace_files) -> tuple[list, list] | None:
+    """The bias currents and fits of ``loop_fits.csv``, or None unless its rows
+    pair one to one with ``trace_files`` by the current on each trace's first
+    row, in increasing current: simulate's closed loop fitted those very bytes
+    in that order.  ``blobs`` maps each path to the bytes read from it."""
     from .fitting import FitResult
     from .physics import ResonatorParams
-    bias, *cols = (c.tolist() for c in read_csv(path, "loop_fits", data=data, finite=False))
-    if bias != [t.bias_current for t in traces]:
+    try:
+        currents = [trace_current(p, blobs[p]) for p in trace_files]
+    except SchemaError:  # parsed in full, where the error is raised as before
         return None
-    return [FitResult(ResonatorParams(*row[:8]), row[8], bool(row[9]), int(row[10]))
-            for row in zip(*cols)]
+    bias, *cols = (c.tolist() for c in read_csv(table, "loop_fits", data=blobs[table],
+                                                 finite=False))
+    if bias != currents or bias != sorted(bias):
+        return None
+    return currents, [FitResult(ResonatorParams(*row[:8]), row[8], bool(row[9]), int(row[10]))
+                  for row in zip(*cols)]
+
+
+def _detections(meta: dict, path: Path) -> tuple[int, int, float]:
+    """n_detected, n_bins and delta_f_GHz of a detection_meta.json record, checked."""
+    return (checked_int(meta["n_detected"], f"{path}: n_detected", 0),
+            checked_int(meta["n_bins"], f"{path}: n_bins", 1),
+            checked_number(meta["delta_f_GHz"], f"{path}: delta_f_GHz", True))
 
 
 def _trace_index(path: Path) -> int:
@@ -85,10 +99,9 @@ def cmd_simulate(cfg: PipelineConfig, outdir: Path) -> dict:
     with clock.phase("sweep"):
         sweep = curve_follow(scenario_instrument(scenario), cfg.bias_plan, span, cfg.n_points)
     with clock.phase("write"):
-        files = [write_csv(outdir, "trace", [np.full(len(t), t.bias_current), t.freqs,
-                                             t.s21.real, t.s21.imag], f"{k:04d}")
-                 for k, t in enumerate(sweep.traces)]
-        files.append(write_csv(outdir, "loop_fits", _fit_columns(sweep.traces, sweep.fits)))
+        files = [write_csv(outdir, "trace", [t.bias_current, t.freqs, t.s21.real, t.s21.imag],
+                           f"{k:04d}") for k, t in enumerate(sweep.traces)]
+        files.append(write_csv(outdir, "loop_fits", _fit_columns(sweep.bias_currents, sweep.fits)))
         files.append(write_record(outdir, "scenario_used", asdict(scenario)))
     write_manifest(outdir, "simulate", cfg.raw, files, timings=clock.timings())
     return {"n_traces": len(sweep.traces), "outdir": str(outdir)}
@@ -115,30 +128,30 @@ def cmd_detect(cfg: PipelineConfig, outdir: Path) -> dict:
         raise SchemaError(f"{stray[0]}: a trace that manifest_simulate.json does not list")
     with clock.phase("load"):
         blobs = {p: p.read_bytes() for p in trace_files}
-        traces = tuple(trace_from_csv(p, data) for p, data in blobs.items())
-        if hi >= len(traces):
+        if hi >= len(trace_files):
             raise ValidationError(f"sweep.calibration_interval [{lo}, {hi}] outside sweep "
-                                  f"of {len(traces)} steps")
-        order = np.argsort([t.bias_current for t in traces], kind="stable")
-        # simulate's closed loop fitted these very bytes in this order
-        if (order == np.arange(len(order))).all() and table.is_file():
+                                  f"of {len(trace_files)} steps")
+        if table.is_file():
             blobs[table] = table.read_bytes()
-        reuse = table in blobs and vouches(listed, blobs)
-    fits = None
-    if reuse:
+    loop, traces = None, {}
+    if table in blobs and vouches(listed, blobs):
         with clock.phase("loop_fits"):
-            fits = _loop_fits(table, blobs[table], traces)
-    if fits is None:
+            loop = _loop_fits(table, blobs, trace_files)
+    if loop is None:
+        with clock.phase("load"):
+            traces = {i: trace_from_csv(p, blobs[p]) for i, p in enumerate(trace_files)}
+        bias = [t.bias_current for t in traces.values()]
         with clock.phase("fit"):
             fits, history = [None] * len(traces), []
-            for i in order:
+            for i in np.argsort(bias, kind="stable"):
                 fits[i] = fit_next(traces[i], history)
+    else:
+        bias, fits = loop
 
-    sweep = SweepDataset(traces=traces, fits=tuple(fits))
-    sweep = apply_exclusions(sweep, cfg.exclusions)
+    sweep = apply_exclusions(SweepDataset(bias, fits), cfg.exclusions)
 
     with clock.phase("write"):
-        columns = _fit_columns(traces, fits)   # fits.csv drops A, alpha, phi_v, phi_0, n_evals
+        columns = _fit_columns(bias, fits)   # fits.csv drops A, alpha, phi_v, phi_0, n_evals
         files = [write_csv(outdir, "fits", columns[:5] + columns[9:11])]
 
     # --- calibration from the user-designated flat interval; on failure the
@@ -154,8 +167,11 @@ def cmd_detect(cfg: PipelineConfig, outdir: Path) -> dict:
         raise CalibrationError(
             f"calibration region not flat: max/median = {flatness:.2f} >= 2")
     baseline_i = cal_idx[int(np.argsort(cal_res)[len(cal_res) // 2])]
+    with clock.phase("load"):  # a vouched run parses only this trace
+        path = trace_files[baseline_i]
+        baseline = traces[baseline_i] if traces else trace_from_csv(path, blobs[path])
     with clock.phase("calibrate_noise"):
-        noise_sigma = calibrate_noise(traces[baseline_i], fits[baseline_i], seed=cfg.seed)
+        noise_sigma = calibrate_noise(baseline, fits[baseline_i], seed=cfg.seed)
 
     # average fitted parameters over the calibration interval
     pvecs = np.array([fits[i].params.as_array() for i in cal_idx])
@@ -163,7 +179,7 @@ def cmd_detect(cfg: PipelineConfig, outdir: Path) -> dict:
     with clock.phase("build_threshold"):
         calib = build_threshold(cal_params, noise_sigma,
                                 ensemble_size=cfg.ensemble_size,
-                                seed=cfg.seed, n_points=len(traces[baseline_i]))
+                                seed=cfg.seed, n_points=len(baseline))
     with clock.phase("count"):
         count = count_sweep(sweep, calib)
     series, events = count.series, count.events
@@ -179,7 +195,7 @@ def cmd_detect(cfg: PipelineConfig, outdir: Path) -> dict:
             "n_bins": count.n_bins,
             "delta_f_GHz": count.delta_f,
             "kappa_GHz": count.kappa,
-            "n_traces": len(traces),
+            "n_traces": len(bias),
             "n_included": len(included),
             "exclusions": [[e.start, e.stop, e.reason] for e in sweep.exclusions],
         }))
@@ -215,10 +231,9 @@ def cmd_infer(cfg: PipelineConfig, outdir: Path) -> dict:
     with clock.phase("load"):
         meta = read_record(path := run_path(outdir, "detection_meta"), "detection_meta")
         calib = calibration_from_dict(
-            read_record(run_path(outdir, "calibration"), "calibration"))
-    n_detected, n_bins = (checked_int(meta[k], f"{path}: {k}", low)
-                          for k, low in (("n_detected", 0), ("n_bins", 1)))
-    delta_f = cfg.delta_f or checked_number(meta["delta_f_GHz"], f"{path}: delta_f_GHz", True)
+            read_record(cal := run_path(outdir, "calibration"), "calibration"), cal)
+    n_detected, n_bins, swept = _detections(meta, path)
+    delta_f = cfg.delta_f or swept
 
     rates = true_rates(calib.fp, calib.fn)
     inp = InferenceInput(n_detected=n_detected, n_bins=n_bins, rates=rates)
@@ -407,6 +422,9 @@ def cmd_report(outdir: Path) -> dict:
     stages = {}
     for m in manifests:
         data = read_record(m, "manifest")
+        for k in ("stage", "config_hash"):
+            if not isinstance(data[k], str):
+                raise SchemaError(f"{m}: {k} must be text, got {data[k]!r}")
         stages[data["stage"]] = {
             "config_hash": data["config_hash"],
             "n_outputs": len(data["outputs"]),
@@ -424,14 +442,15 @@ def cmd_report(outdir: Path) -> dict:
         lines.append(f"- stage `{stage}`: {info['n_outputs']} outputs, "
                      f"config {info['config_hash'][:12]}")
     if "detection_meta" in found:
-        meta = found["detection_meta"]
-        lines.append(f"- detections: {meta['n_detected']} events over "
-                     f"{meta['n_bins']} linewidth bins "
-                     f"({meta['delta_f_GHz']:.6f} GHz swept)")
+        n_detected, n_bins, swept = _detections(found["detection_meta"],
+                                                run_path(outdir, "detection_meta"))
+        lines.append(f"- detections: {n_detected} events over {n_bins} linewidth bins "
+                     f"({swept:.6f} GHz swept)")
     if "estimate" in found:
-        est = found["estimate"]
-        lines.append(f"- density: rho = {est['rho']:.4g} "
-                     f"[{est['ci68'][0]:.4g}, {est['ci68'][1]:.4g}] / GHz / um^2")
+        est, path = found["estimate"], run_path(outdir, "estimate")
+        rho = checked_number(est["rho"], f"{path}: rho")
+        lo, hi = checked_pair(est["ci68"], f"{path}: ci68")
+        lines.append(f"- density: rho = {rho:.4g} [{lo:.4g}, {hi:.4g}] / GHz / um^2")
     write_record(outdir, "report", summary)
     write_text(outdir, "report_md", "\n".join(lines) + "\n")
     return summary

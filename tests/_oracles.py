@@ -1,5 +1,8 @@
 """Brute-force oracles, independent of the package code paths they check."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 
 
@@ -478,6 +481,11 @@ def _cell(v) -> str:
     if isinstance(v, str):
         return v
     return str(v) if isinstance(v, (int, np.integer)) else fnum(v)
+
+
+def sha256_file(path) -> str:
+    """The sha256 of a file's bytes as they are on disk."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def write_csv(outdir, name: str, rows, tag: str = ""):

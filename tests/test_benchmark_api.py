@@ -15,13 +15,20 @@ from pathlib import Path
 import jjtls
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+FIXTURES = PERFBENCH.parent / "fixtures"
 
 
-def test_tracer_targets_resolve():
+def load_tracer():
+    """perfbench/tracer.py as a module, loaded from its file."""
     spec = importlib.util.spec_from_file_location("_perfbench_tracer",
                                                   PERFBENCH / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_resolve():
+    tracer = load_tracer()
     missing = [f"{mod}.{name}" for mod, name, _ in tracer.TARGETS
                if not callable(getattr(importlib.import_module(mod), name, None))]
     assert not missing, f"perfbench/tracer.py traces missing functions: {missing}"
@@ -66,6 +73,33 @@ def test_tracer_facts_read_existing_parameters():
         params = inspect.signature(getattr(importlib.import_module(mod), name)).parameters
         missing += [f"{mod}.{name}({n})" for n in sorted(names - set(params))]
     assert not missing, f"perfbench/tracer.py FACTS read missing parameters: {missing}"
+
+
+def test_tracer_facts_run_on_real_calls(tmp_path):
+    # FACTS also reads what a traced call returns, such as curve_follow's
+    # .traces; the cheap targets run here under the tracer as in a traced run
+    from jjtls import detector, fileio, physics
+
+    module = load_tracer()
+    tracer = module.Tracer()
+    scenario = fileio.load_scenario(FIXTURES / "scenario_no_defects.json")
+    with tracer.patched():
+        detector.curve_follow(physics.scenario_instrument(scenario), [50.0, 50.5, 51.0],
+                              10 * scenario.resonator.kappa, 201)
+        fileio.write_text(tmp_path, "report_md", "ok\n")
+    facts = {}
+    for name, _, _, _, fact in tracer.spans:
+        facts.setdefault(name, []).append(fact)
+    assert facts["detector.curve_follow"] == [{"traces": 3}]
+    assert facts["fileio.write"] == [{"bytes": 3}]
+    assert len(facts["fitting.fit_hanger"]) >= 3
+    assert all(f["returned"] and f["converged"] for f in facts["fitting.fit_hanger"])
+    metrics = tracer.layer_metrics(0.0)
+    assert metrics["detector.curve_follow.fits_per_trace"]["value"] >= 1
+    # build_threshold's facts read only its arguments: bound, not run
+    bound = inspect.signature(detector.build_threshold).bind(
+        scenario.resonator, 0.005, ensemble_size=1200)
+    assert module.FACTS["detector.build_threshold"](bound, None) == {"members": 2400}
 
 
 def test_workload_calls_resolve():

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from fnmatch import fnmatch
 from pathlib import Path
@@ -99,14 +100,17 @@ STAGE_INPUTS = {
     "simulate": [],
     "detect": ["traces", "loop_fits.csv", "manifest_simulate.json", "scenario_used.json"],
     "infer": ["detection_meta.json", "calibration.json"],
+    "report": ["manifest_simulate.json", "manifest_detect.json", "manifest_infer.json",
+               "detection_meta.json", "estimate.json"],
 }
 SWEEP_KEYS = ("bias_plan, bias_start, bias_stop, bias_points, span, n_points, "
               "calibration_interval, exclusions")
 PAIR = "must be an int pair 0 <= first <= last, got"
 
 # (stage, where, value, the error line): ``where`` is a dotted key of write_config's
-# config, "" for the whole config, or "meta:" and a key of detection_meta.json;
-# {config} and {run} in the error line stand for the config file and run directory
+# config, "" for the whole config, or a run file, a colon and a key of that file
+# ("meta" for detection_meta.json); {config} and {run} in the error line stand for
+# the config file and run directory
 CONFIG_FAILURES = [
     ("simulate", "sweep.bias_points", 90.5, "sweep.bias_points must be an int >= 1, got 90.5"),
     ("simulate", "sweep.n_points", 201.9, "sweep.n_points must be an int >= 16, got 201.9"),
@@ -154,6 +158,20 @@ CONFIG_FAILURES = [
      "{run}/detection_meta.json: n_bins must be an int >= 1, got True"),
     ("infer", "meta:delta_f_GHz", "x",
      "{run}/detection_meta.json: delta_f_GHz must be a positive number, got 'x'"),
+    *(("infer", f"calibration.json:{key}", value,
+       f"{{run}}/calibration.json: {key} must be a {shown}, got {value!r}")
+      for key, value, shown in (("fp", "0.1", "finite number"), ("fp", True, "finite number"),
+                                ("threshold", None, "finite number"),
+                                ("gauss_noise", 5, "pair of numbers"),
+                                ("gauss_tls", [1e-3], "pair of numbers"))),
+    ("infer", "calibration.json:gauss_tls", ["a", 1e-4],
+     "{run}/calibration.json: gauss_tls[0] must be a finite number, got 'a'"),
+    ("report", "meta:delta_f_GHz", "x",
+     "{run}/detection_meta.json: delta_f_GHz must be a positive number, got 'x'"),
+    ("report", "estimate.json:rho", "x", "{run}/estimate.json: rho must be a finite number, got 'x'"),
+    ("report", "estimate.json:ci68", 5, "{run}/estimate.json: ci68 must be a pair of numbers, got 5"),
+    ("report", "manifest_detect.json:config_hash", 5,
+     "{run}/manifest_detect.json: config_hash must be text, got 5"),
 ]
 # the detector cases keep the ids they had before the table covered every stage
 DETECTOR_IDS = {"5": "not-an-object", "'abc'": "text", "1200.7": "fraction",
@@ -368,9 +386,10 @@ class TestDetect:
         for name in STAGE_INPUTS[stage]:
             (shutil.copytree if name == "traces" else shutil.copy)(out / name, run / name)
         cfg = json.loads(write_config(tmp_path).read_text())
-        if where.startswith("meta:"):
-            meta = json.loads((run / "detection_meta.json").read_text())
-            (run / "detection_meta.json").write_text(json.dumps({**meta, where[5:]: value}))
+        if ":" in where:
+            name, _, key = where.partition(":")
+            target = run / ("detection_meta.json" if name == "meta" else name)
+            target.write_text(json.dumps({**json.loads(target.read_text()), key: value}))
         elif where == "":
             cfg = value
         else:
@@ -383,10 +402,11 @@ class TestDetect:
         path = tmp_path / "pipeline.json"
         path.write_text(json.dumps(cfg))
         before = run_files(run)
-        assert main([stage, "--config", str(path), "--outdir", str(run)]) == 1
+        config = [] if stage == "report" else ["--config", str(path)]
+        assert main([stage, *config, "--outdir", str(run)]) == 1
         err = capsys.readouterr().err
         assert err == "error: " + shown.format(config=path, run=run) + "\n"
-        assert where.rpartition(".")[2].removeprefix("meta:") in err
+        assert re.split("[.:]", where)[-1] in err
         assert run_files(run) == before
         assert (run / "traces").exists() == (stage == "detect")
 
@@ -514,15 +534,20 @@ class TestLoopFits:
         from jjtls.pipeline import _fit_columns, _loop_fits
 
         grid = np.linspace(4.99, 5.01, 16)
-        traces = [Trace(grid, np.ones(16), bias_current=b) for b in (50.0, 50.5, -0.0)]
+        traces = [Trace(grid, np.ones(16), bias_current=b) for b in (-0.0, 50.0, 50.5)]
+        files = [write_csv(tmp_path, "trace", [t.bias_current, t.freqs, t.s21.real,
+                                               t.s21.imag], f"{k:04d}").path
+                 for k, t in enumerate(traces)]
         fits = [FAILED_FIT,
                 FitResult(ResonatorParams(4.97191244639, 1043.0056, 4071.49, 0.45, 1.01,
                                           5.17, -10.585435335786798, 52.67),
                           float("inf"), False, 200),
                 FitResult(ResonatorParams(5.0 + 1e-15, 5000.0, 1e4, -0.05, 0.95, 0.1,
                                           1.2, 0.3), 5.157630154687549e-05, True, 6)]
-        path = write_csv(tmp_path, "loop_fits", _fit_columns(traces, fits))
-        back = _loop_fits(path, path.read_bytes(), traces)
+        path = write_csv(tmp_path, "loop_fits",
+                         _fit_columns([t.bias_current for t in traces], fits)).path
+        bias, back = _loop_fits(path, {p: p.read_bytes() for p in [*files, path]}, files)
+        assert list(map(repr, bias)) == ["-0.0", "50.0", "50.5"]
         assert back == fits
         assert [type(v) for v in vars(back[1].params).values()] == [float] * 8
         assert path.read_text().splitlines()[1].split(",")[-3:] == ["inf", "0", "0"]
@@ -580,6 +605,37 @@ class TestLoopFits:
                                                     "table currents"))
         if n_fits == 90 and case != "edited trace":
             assert detect_outputs(run) == detect_outputs(out)
+
+    def test_vouched_run_parses_one_trace(self, full_run, tmp_path, monkeypatch):
+        # the fits and currents come from the table and each trace's first row;
+        # only the trace that calibrate_noise reads is parsed in full
+        import jjtls.pipeline as pipeline
+
+        cfg, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        parsed, trace_from_csv = [], pipeline.trace_from_csv
+        monkeypatch.setattr(pipeline, "trace_from_csv",
+                            lambda path, data: parsed.append(path) or trace_from_csv(path, data))
+        assert detect_counting_fits(cfg, run, monkeypatch) == 0
+        assert len(parsed) == 1
+        assert detect_outputs(run) == detect_outputs(out)
+
+    def test_revouched_trace_current_falls_back(self, full_run, tmp_path, monkeypatch):
+        # a trace whose first-row current no longer matches the table, re-vouched
+        # by its manifest, is fitted with all the others from its parsed samples
+        cfg, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        victim = run / "traces" / "trace_0040.csv"
+        lines = victim.read_text().splitlines()
+        cells = lines[1].split(",")
+        lines[1] = ",".join([repr(float(cells[0]) + 0.25), *cells[1:]])
+        victim.write_text("\n".join(lines) + "\n")
+        revouch(run, "traces/trace_0040.csv")
+        assert detect_counting_fits(cfg, run, monkeypatch) == 90
+        phases = json.loads((run / "timings_detect.json").read_text())["phases"]
+        assert "loop_fits" in phases and "fit" in phases
 
     def test_vouched_malformed_table_is_one_error(self, full_run, tmp_path, capsys):
         cfg, out = full_run

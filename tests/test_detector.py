@@ -233,7 +233,8 @@ class TestWarmFirstAgainstSeeded:
             if b.converged:
                 assert a.residual_metric == pytest.approx(b.residual_metric, rel=1e-8)
 
-        events = [find_peaks(normalize_axis(apply_exclusions(SweepDataset(traces, fits))),
+        bias = [t.bias_current for t in traces]
+        events = [find_peaks(normalize_axis(apply_exclusions(SweepDataset(bias, fits))),
                              c4_calib) for fits in (warm, seeded)]
         assert len(events[0]) == len(events[1]) == len(plants)
         for a, b in zip(*events):
@@ -301,15 +302,10 @@ def synthetic_sweep(residuals, f_step=KAPPA / 4, f0=None):
     n = len(residuals)
     biases = np.arange(n, dtype=float)
     f0 = 5.0 - f_step * biases if f0 is None else f0
-    fits = []
-    traces = []
-    grid = np.linspace(4.99, 5.01, 21)
-    for b, f, r in zip(biases, f0, residuals):
-        p = ResonatorParams(f_r=f, Q_l=5000.0, Q_e_mag=10000.0)
-        fits.append(FitResult(params=p, residual_metric=float(r), converged=True))
-        traces.append(synth_trace(p, [], grid, 0.0, np.random.default_rng(0),
-                                  bias_current=b))
-    return SweepDataset(traces=tuple(traces), fits=tuple(fits))
+    fits = [FitResult(params=ResonatorParams(f_r=f, Q_l=5000.0, Q_e_mag=10000.0),
+                      residual_metric=float(r), converged=True)
+            for f, r in zip(f0, residuals)]
+    return SweepDataset(biases, fits)
 
 
 class TestNormalizeAxis:
@@ -702,17 +698,12 @@ class TestInvariants:
         # linewidth-scale residual bump pinned to the frequency path
         fc = f0[30]
         residuals = 1e-4 + 2e-3 * np.exp(-0.5 * ((f0 - fc) / (0.5 * KAPPA)) ** 2)
-        grid = np.linspace(4.99, 5.01, 21)
 
         def build(biases):
-            fits, traces = [], []
-            for b, f, r in zip(biases, f0, residuals):
-                p = ResonatorParams(f_r=f, Q_l=5000.0, Q_e_mag=10000.0)
-                fits.append(FitResult(params=p, residual_metric=float(r),
-                                      converged=True))
-                traces.append(synth_trace(p, [], grid, 0.0,
-                                          np.random.default_rng(0), bias_current=b))
-            return SweepDataset(traces=tuple(traces), fits=tuple(fits))
+            return SweepDataset(biases, [
+                FitResult(params=ResonatorParams(f_r=f, Q_l=5000.0, Q_e_mag=10000.0),
+                          residual_metric=float(r), converged=True)
+                for f, r in zip(f0, residuals)])
 
         cal = DetectorCalibration(threshold=5e-4, fp=0.01, fn=0.02,
                                   noise_sigma=0.005, gauss_noise=(1e-4, 3e-5),

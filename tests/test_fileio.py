@@ -9,8 +9,8 @@ import _oracles
 from jjtls.errors import SchemaError, ValidationError
 from jjtls.fileio import (CONFIG_KEYS, MIN_ENSEMBLE_SIZE, SCHEMAS, load_pipeline_config,
                           load_scenario, read_csv, read_densities_csv, read_morphology_csv,
-                          trace_from_csv, write_csv, write_json, write_record)
-from jjtls.manifest import config_hash, sha256_file, write_manifest
+                          trace_from_csv, write_csv, write_json, write_record, write_text)
+from jjtls.manifest import config_hash, write_manifest
 from jjtls.physics import ResonatorParams, synth_trace
 from jjtls.svgplot import Panel, render
 
@@ -25,15 +25,15 @@ def make_trace():
 
 
 def trace_columns(trace):
-    """The columns of a trace CSV; the bias current repeats on every row."""
-    return [np.full(len(trace), trace.bias_current), trace.freqs,
-            trace.s21.real, trace.s21.imag]
+    """The columns of a trace CSV as simulate passes them: the bias current is
+    a scalar, which write_csv repeats on every row."""
+    return [trace.bias_current, trace.freqs, trace.s21.real, trace.s21.imag]
 
 
 class TestTraceCsv:
     def test_round_trip_exact(self, tmp_path):
         tr = make_trace()
-        p = write_csv(tmp_path, "trace", trace_columns(tr), "0000")
+        p = write_csv(tmp_path, "trace", trace_columns(tr), "0000").path
         assert p == tmp_path / "traces" / "trace_0000.csv"
         back = trace_from_csv(p)
         assert np.array_equal(back.freqs, tr.freqs)
@@ -47,7 +47,7 @@ class TestTraceCsv:
             trace_from_csv(p)
 
     def test_bad_row_reports_line(self, tmp_path):
-        p = write_csv(tmp_path, "trace", trace_columns(make_trace()), "0000")
+        p = write_csv(tmp_path, "trace", trace_columns(make_trace()), "0000").path
         lines = p.read_text().splitlines()
         lines[10] = "oops"
         p.write_text("\n".join(lines) + "\n")
@@ -68,7 +68,7 @@ class TestSchemaWriters:
         assert not any(tmp_path.iterdir())
 
     def test_optional_keys_may_be_absent(self, tmp_path):
-        p = write_record(tmp_path, "report", {"stages": {}})
+        p = write_record(tmp_path, "report", {"stages": {}}).path
         assert p == tmp_path / "report.json"
         assert p.read_text() == '{\n  "stages": {}\n}\n'
 
@@ -123,18 +123,23 @@ class TestCsvMatchesRowOracle:
     def test_written_bytes_equal(self, tmp_path, name):
         for seed in range(6):
             cols, _ = random_columns(name, seed)
-            new = write_csv(tmp_path / "new", name, cols, "0000")
-            old = _oracles.write_csv(tmp_path / "old", name, zip(*cols), "0000")
-            assert new.read_bytes() == old.read_bytes(), seed
+            # column seed % width also goes in as a scalar: one value on every row
+            j = seed % len(cols)
+            same = [*cols[:j], np.asarray(cols[j])[seed], *cols[j + 1:]]
+            for given in (cols, same):
+                new = write_csv(tmp_path / "new", name, given, "0000")
+                old = _oracles.write_csv(tmp_path / "old", name,
+                                         zip(*np.broadcast_arrays(*given)), "0000")
+                assert new.path.read_bytes() == old.path.read_bytes(), seed
         empty = [[] for _ in SCHEMAS[name].fields]
-        assert (write_csv(tmp_path / "new", name, empty, "0000").read_bytes()
-                == _oracles.write_csv(tmp_path / "old", name, [], "0000").read_bytes())
+        assert (write_csv(tmp_path / "new", name, empty, "0000").path.read_bytes()
+                == _oracles.write_csv(tmp_path / "old", name, [], "0000").path.read_bytes())
 
     @pytest.mark.parametrize("name", CSV_SCHEMAS)
     def test_read_back_equal(self, tmp_path, name):
         for seed in range(6):
             cols, text = random_columns(name, seed, finite=True)
-            p = write_csv(tmp_path, name, cols, "0000")
+            p = write_csv(tmp_path, name, cols, "0000").path
             got = read_csv(p, name, text)
             for field, col in zip(SCHEMAS[name].fields, got):
                 assert isinstance(col, list) if field in text else col.dtype == float
@@ -355,14 +360,27 @@ class TestManifest:
         assert config_hash({"a": 1, "b": [2, 3]}) == config_hash({"b": [2, 3], "a": 1})
 
     def test_manifest_lists_checksums(self, tmp_path):
-        f1 = tmp_path / "x.txt"
-        f1.write_text("hello")
-        path = write_manifest(tmp_path, "demo", {"seed": 1}, [f1],
+        written = write_text(tmp_path, "report_md", "hello")
+        path = write_manifest(tmp_path, "demo", {"seed": 1}, [written],
                               timings={"seconds": 0.5})
-        import json
-
         data = json.loads(path.read_text())
-        assert data["outputs"][0]["path"] == "x.txt"
-        assert data["outputs"][0]["sha256"] == sha256_file(f1)
+        assert data["outputs"][0]["path"] == "report.md"
+        assert data["outputs"][0]["sha256"] == _oracles.sha256_file(written.path)
         assert "timings" not in data
         assert (tmp_path / "timings_demo.json").exists()
+
+    def test_manifest_reads_no_output(self, tmp_path):
+        # the writers return what they wrote; the manifest lists that, the same
+        # sha256 and size as the files on disk, without opening one of them
+        written = [write_csv(tmp_path, "trace", trace_columns(make_trace()), "0007"),
+                   write_record(tmp_path, "report", {"stages": {}}),
+                   write_text(tmp_path, "report_md", "r\u00e9sum\u00e9\n")]
+        on_disk = {str(w.path.relative_to(tmp_path)): (_oracles.sha256_file(w.path),
+                                                        w.path.stat().st_size)
+                   for w in written}
+        for w in written:
+            w.path.unlink()
+        path = write_manifest(tmp_path, "demo", {"seed": 1}, written[::-1])
+        outputs = json.loads(path.read_text())["outputs"]
+        assert [o["path"] for o in outputs] == sorted(on_disk)
+        assert {o["path"]: (o["sha256"], o["bytes"]) for o in outputs} == on_disk
