@@ -360,18 +360,9 @@ class TestManifest:
         assert config_hash({"a": 1, "b": [2, 3]}) == config_hash({"b": [2, 3], "a": 1})
 
     def test_manifest_lists_checksums(self, tmp_path):
-        written = write_text(tmp_path, "report_md", "hello")
-        path = write_manifest(tmp_path, "demo", {"seed": 1}, [written],
-                              timings={"seconds": 0.5})
-        data = json.loads(path.read_text())
-        assert data["outputs"][0]["path"] == "report.md"
-        assert data["outputs"][0]["sha256"] == _oracles.sha256_file(written.path)
-        assert "timings" not in data
-        assert (tmp_path / "timings_demo.json").exists()
-
-    def test_manifest_reads_no_output(self, tmp_path):
-        # the writers return what they wrote; the manifest lists that, the same
-        # sha256 and size as the files on disk, without opening one of them
+        # the writers return what they wrote and the manifest lists that: the
+        # sha256 and size of the files on disk, deleted before the manifest is
+        # written, so it cannot have read them back
         written = [write_csv(tmp_path, "trace", trace_columns(make_trace()), "0007"),
                    write_record(tmp_path, "report", {"stages": {}}),
                    write_text(tmp_path, "report_md", "r\u00e9sum\u00e9\n")]
@@ -380,7 +371,10 @@ class TestManifest:
                    for w in written}
         for w in written:
             w.path.unlink()
-        path = write_manifest(tmp_path, "demo", {"seed": 1}, written[::-1])
-        outputs = json.loads(path.read_text())["outputs"]
-        assert [o["path"] for o in outputs] == sorted(on_disk)
-        assert {o["path"]: (o["sha256"], o["bytes"]) for o in outputs} == on_disk
+        path = write_manifest(tmp_path, "demo", {"seed": 1}, written[::-1],
+                              timings={"seconds": 0.5})
+        data = json.loads(path.read_text())
+        assert [o["path"] for o in data["outputs"]] == sorted(on_disk)
+        assert {o["path"]: (o["sha256"], o["bytes"]) for o in data["outputs"]} == on_disk
+        assert "timings" not in data
+        assert (tmp_path / "timings_demo.json").exists()
