@@ -51,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--densities", type=Path, help="per-resonator densities CSV")
     p.add_argument("--morphology", type=Path, help="per-device morphology CSV")
     p.add_argument("--seed", default="0", help="permutation seed (integer >= 0)")
-    p.add_argument("--repeats", type=int, default=100,
-                   help="permutation importance repeats (>= 2)")
+    p.add_argument("--repeats", default="100",
+                   help="permutation importance repeats (integer >= 2)")
     _add_common(p)
 
     p = subs.add_parser("report", help="consolidate stage manifests")
@@ -96,9 +96,11 @@ def main(argv=None) -> int:
                 raise ValidationError("--densities, --morphology and --outdir "
                                       "are required")
             seed = _seed(args.seed)
+            if not args.repeats.isdecimal():  # an integer below 2 is cmd_correlate's error
+                raise ValidationError(f"--repeats must be an int >= 2, got {args.repeats!r}")
             args.outdir.mkdir(parents=True, exist_ok=True)
             out = cmd_correlate(args.densities, args.morphology, args.outdir,
-                                seed=seed, repeats=args.repeats)
+                                seed=seed, repeats=int(args.repeats))
             print(json.dumps({k: out[k] for k in ("treatments", "ranking")},
                              sort_keys=True), flush=True)
             return EXIT_OK

@@ -29,8 +29,9 @@ class Schema:
     ``path`` is relative to the run directory; its ``*`` stands for the
     trace index (four digits or more) or the stage name.  ``fields`` are
     the CSV columns in order or the JSON top-level keys; a trailing ``?``
-    marks a key that may be absent.  Entries without fields are figures, text or
-    nested configs that ``note`` describes.
+    marks a key that may be absent.  ``types`` are the JSON keys' types (see
+    :func:`_check`), "" for CSV columns.  Entries without fields are figures,
+    text or nested configs that ``note`` describes.
     """
 
     path: str
@@ -38,6 +39,7 @@ class Schema:
     readers: tuple[str, ...]
     fields: tuple[str, ...]
     note: str
+    types: tuple[str, ...]
 
     @property
     def keys(self) -> tuple[str, ...]:
@@ -49,8 +51,9 @@ class Schema:
 
 
 def _schema(path: str, writers: str, readers: str, fields: str, note: str) -> Schema:
+    pairs = [f.partition(":")[::2] for f in fields.split()]
     return Schema(path, tuple(writers.split()), tuple(readers.split()),
-                  tuple(fields.split()), note)
+                  tuple(f for f, _ in pairs), note, tuple(t for _, t in pairs))
 
 
 _STAGES = "simulate detect infer correlate"
@@ -88,7 +91,8 @@ synthetic measurement campaign (JSON object)
                          "simulate's fit of each trace in trace order; converged is 1 "
                          "or 0, a failed fit's residual_metric is inf"),
     "scenario_used": _schema("scenario_used.json", "simulate", "",
-                             "resonator flux defects noise_sigma rng_seed",
+                             "resonator:object flux:object defects:[object] "
+                             "noise_sigma:number rng_seed:int>=0",
                              "the simulated scenario, rng_seed set to the run seed"),
     "fits": _schema("fits.csv", "detect", "",
                     "current_mA f0_GHz Ql Qe theta residual_metric converged",
@@ -98,22 +102,23 @@ synthetic measurement campaign (JSON object)
     "events": _schema("events.csv", "detect", "", "shift_kappa freq_GHz peak_residual",
                       "one row per detected TLS event"),
     "calibration": _schema("calibration.json", "detect", "infer",
-                           "threshold fp fn noise_sigma gauss_noise gauss_tls",
-                           "detector threshold and error rates; gauss_noise and "
-                           "gauss_tls are [mean, std] of the two ensembles"),
+                           "threshold:number fp:number fn:number noise_sigma:number "
+                           "gauss_noise:pair gauss_tls:pair",
+                           "detector threshold, error rates, and each ensemble's (mean, std)"),
     "detection_meta": _schema("detection_meta.json", "detect", "infer report",
-                              "n_detected n_bins delta_f_GHz kappa_GHz n_traces? "
-                              "n_included? exclusions?",
-                              "detection count over the swept range; exclusions "
-                              "is [[first, last, reason], ...]"),
+                              "n_detected:int>=0 n_bins:int>=1 delta_f_GHz:number>0 "
+                              "kappa_GHz:number>0 n_traces?:int>=1 n_included?:int>=0 "
+                              "exclusions?:[list]",
+                              "detection count over the swept range; an exclusion is "
+                              "[first, last, reason]"),
     "residuals_plot": _schema("residuals.svg", "detect", "", "",
                               "residual metric vs frequency shift, threshold, events"),
     "posterior": _schema("posterior.csv", "infer", "", "n_t prob", "P(true TLS count)"),
     "estimate": _schema("estimate.json", "infer", "report",
-                        "rho ci68 lambda_star mean_count count_ci68 delta_f_GHz "
-                        "area_um2 rates",
-                        "density in 1 / GHz / um^2; ci68 and count_ci68 are "
-                        "[lo, hi]; rates is {fp, fn, FP, FN}"),
+                        "rho:number ci68:pair lambda_star:number mean_count:number "
+                        "count_ci68:pair delta_f_GHz:number>0 area_um2:number>0 "
+                        "rates:{fp:number,fn:number,FP:number,FN:number}",
+                        "density in 1 / GHz / um^2 and the count, each with its 68% interval"),
     "posterior_plot": _schema("posterior.svg", "infer", "", "",
                               "marginal likelihood of the rate and count posterior"),
     "densities": _schema("densities.csv", "", "correlate",
@@ -140,24 +145,24 @@ synthetic measurement campaign (JSON object)
                                     "feature pearson_r pearson_p spearman_rho spearman_p",
                                     "each morphology feature against tls_density"),
     "correlation_report": _schema("correlation_report.json", "correlate", "",
-                                  "threshold loocv_r2 ridge_alpha clusters "
-                                  "representatives importances ranking",
+                                  "threshold:number loocv_r2:number ridge_alpha:number>0 "
+                                  "clusters:[[text]] representatives:[text] "
+                                  "importances:object ranking:[text]",
                                   "feature clusters and ridge permutation importance; "
                                   "needs >= 4 devices and >= 2 varying features"),
     "importance_plot": _schema("importance.svg", "correlate", "", "",
                                "permutation importance, written with the report"),
     "densities_plot": _schema("densities.svg", "correlate", "", "",
                               "density distribution per treatment with gamma fits"),
-    "notices": _schema("notices.json", "correlate", "", "notices",
+    "notices": _schema("notices.json", "correlate", "", "notices:[text]",
                        "skipped or degenerate analyses, one sentence each"),
-    "manifest": _schema("manifest_*.json", _STAGES, "report",
-                        "stage config_hash package_version outputs",
-                        "* is the stage; outputs is [{path, sha256, bytes}]"),
-    "timings": _schema("timings_*.json", _STAGES, "", "seconds phases?",
-                       "* is the stage; wall time and {phase: seconds} of the "
-                       "stage's phases, outside the determinism contract"),
+    "manifest": _schema("manifest_*.json", _STAGES, "detect report",
+                        "stage:text config_hash:text package_version:text "
+                        "outputs:[{path:text,sha256:text,bytes:int>=0}]", "* is the stage"),
+    "timings": _schema("timings_*.json", _STAGES, "", "seconds:number phases?:object",
+                       "* is the stage; seconds in all and per phase, not deterministic"),
     "report": _schema("report.json", "report", "",
-                      "stages detection_meta.json? estimate.json?",
+                      "stages:object detection_meta.json?:object estimate.json?:object",
                       "stage manifests, with detection_meta and estimate if present"),
     "report_md": _schema("report.md", "report", "", "", "the same summary as Markdown"),
 }
@@ -178,8 +183,8 @@ def schema_text(name: str | None = None, *, stage: str | None = None) -> str:
         if s.path.endswith(".csv"):
             out.append(f"  columns: {','.join(s.fields)}")
         elif s.fields:
-            out.append(f"  keys: {', '.join(s.fields)}"
-                       + ("  (? may be absent)" if s.keys != s.fields else ""))
+            out.append("  keys:" + ("  (? may be absent)" if s.keys != s.fields else ""))
+            out += [f"    {f}: {t}" for f, t in zip(s.fields, s.types)]
     return "\n".join(out)
 
 
@@ -265,11 +270,14 @@ def _check_fields(path: Path, name: str, present, what: str) -> None:
 
 
 def read_record(path: Path, name: str) -> dict:
-    """A JSON file of schema ``name`` that holds every required key."""
+    """A JSON file of schema ``name`` that holds every required key, each of its type."""
     raw = read_json(path)
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: expected a JSON object")
     _check_fields(path, name, raw, "key(s)")
+    for key, kind in zip(SCHEMAS[name].keys, SCHEMAS[name].types):
+        if key in raw:
+            _check(raw[key], f"{path}: {key}", kind)
     return raw
 
 
@@ -289,6 +297,8 @@ def read_csv(path: Path, name: str, text=(), data: bytes | None = None,
         records = list(reader)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})")
+    except csv.Error as exc:  # a cell over csv.field_size_limit()
+        raise SchemaError(f"{path}:{reader.line_num}: {exc}")
     _check_fields(path, name, header, "column(s)")
     rows = [r for r in records if r]
     n = len(header)
@@ -370,8 +380,7 @@ CONFIG_KEYS = {
 
 def _section(obj, name: str, label: str) -> dict:
     """``obj`` if it is a JSON object that holds only keys ``CONFIG_KEYS[name]`` names."""
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{label} must be an object, got {obj!r}")
+    _check(obj, label, "object")
     if extra := sorted(set(obj) - set(CONFIG_KEYS[name])):
         raise SchemaError(f"{label}{'.' if name else ': '}{extra[0]}: unknown key; "
                           f"{label} takes {', '.join(CONFIG_KEYS[name])} only")
@@ -399,6 +408,29 @@ def checked_pair(value, field: str) -> tuple[float, float]:
     if not (isinstance(value, list) and len(value) == 2):
         raise SchemaError(f"{field} must be a pair of numbers, got {value!r}")
     return tuple(checked_number(v, f"{field}[{k}]") for k, v in enumerate(value))
+
+
+def _check(value, field: str, kind: str) -> None:
+    """Raise unless ``value`` is of ``kind``, a JSON type as the table writes it:
+    int>=N, number, number>0 (finite), pair (of numbers), text, list, object,
+    [type] (a list of that type) or {key:type,...} (an object holding those keys)."""
+    if kind.startswith("int>="):
+        checked_int(value, field, int(kind[5:]))
+    elif kind.startswith("number"):
+        checked_number(value, field, kind == "number>0")
+    elif kind == "pair":
+        checked_pair(value, field)
+    elif kind.startswith("["):
+        _items(value, field, _check, kind[1:-1])
+    else:
+        keys = [p.partition(":")[::2] for p in kind[1:-1].split(",")] if kind[0] == "{" else []
+        shown, want = {"text": ("text", str), "list": ("a list", list),
+                       "object": ("an object", dict)}["object" if keys else kind]
+        if not (isinstance(value, want) and all(k in value for k, _ in keys)):
+            held = " with " + ", ".join(k for k, _ in keys) if keys else ""
+            raise SchemaError(f"{field} must be {shown}{held}, got {value!r}")
+        for k, sub in keys:
+            _check(value[k], f"{field}.{k}", sub)
 
 
 def _interval(value, field: str) -> tuple[int, int]:
@@ -501,11 +533,9 @@ class DetectorCalibration:
 
 
 def calibration_from_dict(raw: dict, path: Path) -> DetectorCalibration:
-    """The calibration of a record that :func:`read_record` has checked;
-    every value must be a number, gauss_noise and gauss_tls pairs of them."""
-    values = {k: checked_number(raw[k], f"{path}: {k}")
-              for k in ("threshold", "fp", "fn", "noise_sigma")}
-    values |= {k: checked_pair(raw[k], f"{path}: {k}") for k in ("gauss_noise", "gauss_tls")}
+    """The calibration of a record that :func:`read_record` has checked."""
+    values = {k: float(raw[k]) for k in ("threshold", "fp", "fn", "noise_sigma")}
+    values |= {k: tuple(map(float, raw[k])) for k in ("gauss_noise", "gauss_tls")}
     try:
         return DetectorCalibration(**values)
     except ValidationError as exc:

@@ -52,7 +52,7 @@ def listing(outdir: Path, stage: str, files) -> tuple[str, dict] | None:
         sums = {o["path"]: o["sha256"] for o in manifest["outputs"]}
         return manifest["package_version"], {
             f: sums[name] for f in files if (name := _listed(Path(outdir), Path(f))) in sums}
-    except (SchemaError, OSError, TypeError, KeyError):
+    except (SchemaError, OSError):
         return None
 
 

@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CalibrationError, JJTLSError, SchemaError, ValidationError
-from .fileio import (SCHEMAS, PipelineConfig, calibration_from_dict, checked_int,
-                     checked_number, checked_pair, load_scenario, read_csv,
+from .fileio import (SCHEMAS, PipelineConfig, calibration_from_dict, load_scenario, read_csv,
                      read_densities_csv, read_morphology_csv, read_record, run_path,
                      trace_current, trace_from_csv, write_csv, write_record, write_text)
 from .manifest import listing, unlisted, vouches, write_manifest
@@ -67,13 +66,6 @@ def _loop_fits(table: Path, blobs: dict, trace_files) -> tuple[list, list] | Non
         return None
     return currents, [FitResult(ResonatorParams(*row[:8]), row[8], bool(row[9]), int(row[10]))
                   for row in zip(*cols)]
-
-
-def _detections(meta: dict, path: Path) -> tuple[int, int, float]:
-    """n_detected, n_bins and delta_f_GHz of a detection_meta.json record, checked."""
-    return (checked_int(meta["n_detected"], f"{path}: n_detected", 0),
-            checked_int(meta["n_bins"], f"{path}: n_bins", 1),
-            checked_number(meta["delta_f_GHz"], f"{path}: delta_f_GHz", True))
 
 
 def _trace_index(path: Path) -> int:
@@ -229,14 +221,13 @@ def cmd_infer(cfg: PipelineConfig, outdir: Path) -> dict:
     if cfg.area is None:
         raise SchemaError("inference.area (junction area in um^2) is required")
     with clock.phase("load"):
-        meta = read_record(path := run_path(outdir, "detection_meta"), "detection_meta")
+        meta = read_record(run_path(outdir, "detection_meta"), "detection_meta")
         calib = calibration_from_dict(
             read_record(cal := run_path(outdir, "calibration"), "calibration"), cal)
-    n_detected, n_bins, swept = _detections(meta, path)
-    delta_f = cfg.delta_f or swept
+    delta_f = cfg.delta_f or float(meta["delta_f_GHz"])
 
     rates = true_rates(calib.fp, calib.fn)
-    inp = InferenceInput(n_detected=n_detected, n_bins=n_bins, rates=rates)
+    inp = InferenceInput(n_detected=meta["n_detected"], n_bins=meta["n_bins"], rates=rates)
     with clock.phase("posterior"):
         post = posterior(inp)
     est = density(post, delta_f=delta_f, area=cfg.area)
@@ -422,34 +413,25 @@ def cmd_report(outdir: Path) -> dict:
     stages = {}
     for m in manifests:
         data = read_record(m, "manifest")
-        for k in ("stage", "config_hash"):
-            if not isinstance(data[k], str):
-                raise SchemaError(f"{m}: {k} must be text, got {data[k]!r}")
         stages[data["stage"]] = {
             "config_hash": data["config_hash"],
             "n_outputs": len(data["outputs"]),
             "outputs": [o["path"] for o in data["outputs"]],
         }
     summary = {"stages": stages}
-    found = {}
     for name in ("detection_meta", "estimate"):
-        path = run_path(outdir, name)
-        if path.exists():
-            summary[path.name] = found[name] = read_record(path, name)
+        if (path := run_path(outdir, name)).exists():
+            summary[path.name] = read_record(path, name)
 
     lines = ["# run report", ""]
     for stage, info in stages.items():
         lines.append(f"- stage `{stage}`: {info['n_outputs']} outputs, "
                      f"config {info['config_hash'][:12]}")
-    if "detection_meta" in found:
-        n_detected, n_bins, swept = _detections(found["detection_meta"],
-                                                run_path(outdir, "detection_meta"))
-        lines.append(f"- detections: {n_detected} events over {n_bins} linewidth bins "
-                     f"({swept:.6f} GHz swept)")
-    if "estimate" in found:
-        est, path = found["estimate"], run_path(outdir, "estimate")
-        rho = checked_number(est["rho"], f"{path}: rho")
-        lo, hi = checked_pair(est["ci68"], f"{path}: ci68")
+    if meta := summary.get("detection_meta.json"):
+        lines.append(f"- detections: {meta['n_detected']} events over {meta['n_bins']} "
+                     f"linewidth bins ({meta['delta_f_GHz']:.6f} GHz swept)")
+    if est := summary.get("estimate.json"):
+        (lo, hi), rho = est["ci68"], est["rho"]
         lines.append(f"- density: rho = {rho:.4g} [{lo:.4g}, {hi:.4g}] / GHz / um^2")
     write_record(outdir, "report", summary)
     write_text(outdir, "report_md", "\n".join(lines) + "\n")

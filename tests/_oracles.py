@@ -519,23 +519,26 @@ def read_csv(path, name: str, text=()) -> list[list]:
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        _check_fields(path, name, header, "column(s)")
-        parse = [(header.index(c), str.strip if c in text else float) for c in cols]
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaError(f"{path}:{lineno}: expected {len(header)} "
-                                  f"columns, got {len(row)}")
-            try:
-                cells = [conv(row[i]) for i, conv in parse]
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}")
-            for c, v in zip(cols, cells):
-                if c not in text and not math.isfinite(v):
-                    raise SchemaError(f"{path}:{lineno}: column {c} is not finite")
-            rows.append(cells)
+        try:
+            header = next(reader, [])
+            _check_fields(path, name, header, "column(s)")
+            parse = [(header.index(c), str.strip if c in text else float) for c in cols]
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise SchemaError(f"{path}:{lineno}: expected {len(header)} "
+                                      f"columns, got {len(row)}")
+                try:
+                    cells = [conv(row[i]) for i, conv in parse]
+                except ValueError as exc:
+                    raise SchemaError(f"{path}:{lineno}: {exc}")
+                for c, v in zip(cols, cells):
+                    if c not in text and not math.isfinite(v):
+                        raise SchemaError(f"{path}:{lineno}: column {c} is not finite")
+                rows.append(cells)
+        except csv.Error as exc:  # a cell over csv.field_size_limit()
+            raise SchemaError(f"{path}:{reader.line_num}: {exc}")
     if not rows:
         raise SchemaError(f"{path}: no data rows")
     return rows

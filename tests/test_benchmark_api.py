@@ -141,3 +141,77 @@ def test_every_lazy_name_has_a_reader():
         if not (read or name in bound):
             unread.append(f"{module}.{name}")
     assert not unread, f"public names that nothing in src/jjtls or perfbench reads: {unread}"
+
+
+def _json_file(node: ast.AST, paths: dict) -> str | None:
+    """The file name of ``<dir> / "name.json"`` (an f-string's fields as ``*``),
+    or of a name bound to one in ``paths``."""
+    if isinstance(node, ast.Name):
+        return paths.get(node.id)
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+        return None
+    if isinstance(node.right, ast.Constant) and isinstance(node.right.value, str):
+        return node.right.value
+    if isinstance(node.right, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "*"
+                       for v in node.right.values)
+    return None
+
+
+def test_checks_read_keys_of_the_schemas():
+    # perfbench/checks.py reads each run's JSON records by key; a key that
+    # left its schema's table would only fail inside a benchmark run
+    import re
+    from fnmatch import fnmatch
+
+    from jjtls.fileio import SCHEMAS
+
+    tree = ast.parse((PERFBENCH / "checks.py").read_text())
+    read, missing = set(), []
+    for func in (n for n in tree.body if isinstance(n, ast.FunctionDef)):
+        paths, records = {}, {}  # name -> file name; name -> (schema, {key: type})
+
+        def record(node):
+            """(schema, {key: type}) of a read_json(...) call or a name bound to one."""
+            if isinstance(node, ast.Name):
+                return records.get(node.id)
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "read_json" and node.args):
+                return None
+            file = _json_file(node.args[0], paths)
+            names = [k for k, s in SCHEMAS.items() if file and fnmatch(file, s.path)]
+            if not names:
+                return None
+            s = SCHEMAS[names[0]]
+            return names[0], dict(zip(s.keys, s.types))
+
+        def key_of(node):
+            """(schema, key, its type) of ``<record>["key"]``, checked against the table."""
+            if not (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)):
+                return None
+            rec = record(node.value)
+            if rec is None:
+                return None
+            name, types = rec
+            read.add(name)
+            if node.slice.value not in types:
+                missing.append(f"{func.name}: {name}[{node.slice.value!r}]")
+            return name, node.slice.value, types.get(node.slice.value, "")
+
+        for node in ast.walk(func):  # bindings first: checks.py binds before it reads
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                target = node.targets[0].id
+                if (file := _json_file(node.value, paths)) is not None:
+                    paths[target] = file
+                elif (rec := record(node.value)) is not None:
+                    records[target] = rec
+            elif isinstance(node, ast.For) and isinstance(node.target, ast.Name):
+                if (found := key_of(node.iter)) and found[2].startswith("[{"):
+                    # each item of a list of objects, as {key: type}
+                    item = dict(re.findall(r"(\w+):([^,{}]+)", found[2]))
+                    records[node.target.id] = (f"{found[0]}.{found[1]}[]", item)
+        for node in ast.walk(func):
+            key_of(node)
+    assert not missing, f"perfbench/checks.py reads keys its schemas lack: {missing}"
+    assert {"detection_meta", "calibration", "estimate", "manifest",
+            "manifest.outputs[]"} <= read

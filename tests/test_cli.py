@@ -172,6 +172,15 @@ CONFIG_FAILURES = [
     ("report", "estimate.json:ci68", 5, "{run}/estimate.json: ci68 must be a pair of numbers, got 5"),
     ("report", "manifest_detect.json:config_hash", 5,
      "{run}/manifest_detect.json: config_hash must be text, got 5"),
+    ("report", "manifest_detect.json:outputs", 5,
+     "{run}/manifest_detect.json: outputs must be a list, got 5"),
+    ("report", "manifest_detect.json:outputs", ["a"], "{run}/manifest_detect.json: "
+     "outputs[0] must be an object with path, sha256, bytes, got 'a'"),
+    ("report", "manifest_detect.json:outputs", [{"sha256": "x"}], "{run}/manifest_detect.json: "
+     "outputs[0] must be an object with path, sha256, bytes, got {{'sha256': 'x'}}"),
+    ("infer", "meta:n_traces", "x",
+     "{run}/detection_meta.json: n_traces must be an int >= 1, got 'x'"),
+    ("infer", "meta:exclusions", 5, "{run}/detection_meta.json: exclusions must be a list, got 5"),
 ]
 # the detector cases keep the ids they had before the table covered every stage
 DETECTOR_IDS = {"5": "not-an-object", "'abc'": "text", "1200.7": "fraction",
@@ -575,6 +584,7 @@ class TestLoopFits:
     @pytest.mark.parametrize("case,n_fits", [
         ("edited trace", 90), ("fewer traces", 89),
         ("package version", 90), ("no manifest", 90), ("manifest not json", 90),
+        ("outputs not a list", 90), ("output without sha256", 90),
         ("table rows", 90), ("table currents", 90), ("no table", 90)])
     def test_refusals_fall_back_to_fitting(self, full_run, tmp_path, monkeypatch,
                                            case, n_fits):
@@ -593,6 +603,13 @@ class TestLoopFits:
             manifest.unlink()
         elif case == "manifest not json":
             manifest.write_text("{")
+        elif case in ("outputs not a list", "output without sha256"):
+            data = json.loads(manifest.read_text())
+            if case == "outputs not a list":
+                data["outputs"] = 5
+            else:
+                del data["outputs"][0]["sha256"]
+            manifest.write_text(json.dumps(data))
         elif case == "no table":
             (run / "loop_fits.csv").unlink()
         else:
@@ -922,6 +939,17 @@ class TestCorrelate:
         out = tmp_path / "c"
         assert not out.exists() or not any(out.rglob("*"))
 
+    @pytest.mark.parametrize("repeats", ["abc", "1.5", "true"])
+    def test_non_integer_repeats_rejected(self, tmp_path, capsys, repeats):
+        # read as text and checked as an integer, as --seed is: exit 1, not
+        # argparse's exit 2, and no output
+        out = tmp_path / "c"
+        assert main(["correlate", "--densities", str(FIXTURES / "densities.csv"),
+                     "--morphology", str(FIXTURES / "morphology.csv"),
+                     "--outdir", str(out), "--repeats", repeats]) == 1
+        assert capsys.readouterr().err == f"error: --repeats must be an int >= 2, got {repeats!r}\n"
+        assert not out.exists()
+
     def test_single_treatment_notice(self, tmp_path):
         src = (FIXTURES / "densities.csv").read_text().splitlines()
         only_a = [src[0]] + [r for r in src[1:] if r.startswith("A,")]
@@ -1088,6 +1116,30 @@ class TestNonUtf8Input:
         self.one_error_line(capsys, p)
 
 
+class TestOversizedCell:
+    """A CSV cell longer than csv.field_size_limit() is one error line naming
+    the file and line, not a csv.Error traceback."""
+
+    @pytest.mark.parametrize("stage", ["detect", "correlate"])
+    def test_one_error_line(self, full_run, tmp_path, capsys, stage):
+        cfg, out = full_run
+        if stage == "detect":
+            shutil.copytree(out / "traces", tmp_path / "run" / "traces")
+            victim = tmp_path / "run" / "traces" / "trace_0003.csv"
+            argv = ["detect", "--config", str(cfg), "--outdir", str(tmp_path / "run")]
+        else:
+            victim = tmp_path / "densities.csv"
+            shutil.copy(FIXTURES / "densities.csv", victim)
+            argv = ["correlate", "--densities", str(victim), "--morphology",
+                    str(FIXTURES / "morphology.csv"), "--outdir", str(tmp_path / "c")]
+        lines = victim.read_text().splitlines()
+        lines[1] = "1" * 200_000 + lines[1][lines[1].index(","):]
+        victim.write_text("\n".join(lines) + "\n")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (f"error: {victim}:2: field larger than field "
+                                           "limit (131072)\n")
+
+
 class TestSchemaAndReport:
     def test_schema_subcommand(self, capsys):
         assert main(["schema"]) == 0
@@ -1131,6 +1183,34 @@ class TestSchemaAndReport:
         for name in ("densities", "morphology"):
             header = (FIXTURES / f"{name}.csv").read_text().splitlines()[0]
             assert header == ",".join(SCHEMAS[name].fields)
+
+    def test_every_json_output_reads_back(self, all_stages):
+        # each JSON file of a simulate -> report run passes its schema's types
+        from jjtls.fileio import SCHEMAS, read_record
+
+        out, written = all_stages
+        seen = set()
+        for rel in sorted(f for fs in written.values() for f in fs if f.endswith(".json")):
+            name = next(k for k, s in SCHEMAS.items() if fnmatch(rel, s.path))
+            assert read_record(out / rel, name) == json.loads((out / rel).read_text()), rel
+            seen.add(name)
+        assert seen == {k for k, s in SCHEMAS.items() if s.path.endswith(".json") and s.fields}
+
+    def test_schema_text_types_every_json_key(self):
+        # jjtls schema prints each key's type from the table the readers check
+        from jjtls.fileio import SCHEMAS, schema_text
+
+        named = [k for k, s in SCHEMAS.items() if s.path.endswith(".json") and s.fields]
+        assert len(named) == 9
+        for name in named:
+            s = SCHEMAS[name]
+            lines = schema_text(name).splitlines()
+            for field, kind in zip(s.fields, s.types):
+                assert kind and f"    {field}: {kind}" in lines, (name, field)
+                # every type named inside [type] and {key:type,...} is one _check knows
+                leaves = {t.rpartition(":")[2] for t in re.split(r"[][{},]", kind) if t}
+                assert leaves <= {"int>=0", "int>=1", "number", "number>0", "pair", "text",
+                                  "list", "object"}, (name, field)
 
     def test_schema_flag_names_every_written_file(self, all_stages, capsys):
         _, written = all_stages

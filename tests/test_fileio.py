@@ -197,6 +197,7 @@ MALFORMED = [
     ("reordered_header_faults", "trace", (),
      "im_s21,re_s21,freq_GHz,current_mA\n0.1,0.2,5.0,1.5\nx,0.2,y,1.5\n"),
     ("underscore_and_spaces", "trace", (), trace_text((2, " 1_5 ,5.0e0,+0.1,-0\t"))),
+    ("oversized_cell", "trace", (), trace_text((3, "1" * 200_000 + ",5.0,0.1,0.2"))),
     ("densities_text_stripped", "densities", ("treatment", "resonator_id"),
      DENSITIES_HEADER + "\n A ,r0 ,0.1,0.05,0.2\nB,\"r,1\",0.2,0.1,0.3\n"),
     ("densities_nonfinite_rho", "densities", ("treatment", "resonator_id"),
