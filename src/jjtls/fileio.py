@@ -7,6 +7,7 @@ repeated runs with identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -29,9 +30,9 @@ class Schema:
     ``path`` is relative to the run directory; its ``*`` stands for the
     trace index (four digits or more) or the stage name.  ``fields`` are
     the CSV columns in order or the JSON top-level keys; a trailing ``?``
-    marks a key that may be absent.  ``types`` are the JSON keys' types (see
-    :func:`_check`), "" for CSV columns.  Entries without fields are figures,
-    text or nested configs that ``note`` describes.
+    marks a key that may be absent.  ``types`` are their types (see :func:`read_csv`,
+    :func:`_checker`), ``number`` where none is named.  Entries without fields
+    are figures, text or nested configs that ``note`` describes.
     """
 
     path: str
@@ -53,7 +54,7 @@ class Schema:
 def _schema(path: str, writers: str, readers: str, fields: str, note: str) -> Schema:
     pairs = [f.partition(":")[::2] for f in fields.split()]
     return Schema(path, tuple(writers.split()), tuple(readers.split()),
-                  tuple(f for f, _ in pairs), note, tuple(t for _, t in pairs))
+                  tuple(f for f, _ in pairs), note, tuple(t or "number" for _, t in pairs))
 
 
 _STAGES = "simulate detect infer correlate"
@@ -86,16 +87,17 @@ synthetic measurement campaign (JSON object)
     "trace": _schema("traces/trace_*.csv", "simulate", "detect",
                      "current_mA freq_GHz re_s21 im_s21",
                      "one trace per bias point, numbered in bias-plan order"),
-    "loop_fits": _schema("loop_fits.csv", "simulate", "detect", "current_mA f_r Q_l Q_e_mag "
-                         "theta A alpha phi_v phi_0 residual_metric converged n_evals",
+    "loop_fits": _schema("loop_fits.csv", "simulate", "detect", "current_mA:float f_r:float "
+                         "Q_l:float Q_e_mag:float theta:float A:float alpha:float phi_v:float "
+                         "phi_0:float residual_metric:float converged:float n_evals:float",
                          "simulate's fit of each trace in trace order; converged is 1 "
                          "or 0, a failed fit's residual_metric is inf"),
     "scenario_used": _schema("scenario_used.json", "simulate", "",
                              "resonator:object flux:object defects:[object] "
                              "noise_sigma:number rng_seed:int>=0",
                              "the simulated scenario, rng_seed set to the run seed"),
-    "fits": _schema("fits.csv", "detect", "",
-                    "current_mA f0_GHz Ql Qe theta residual_metric converged",
+    "fits": _schema("fits.csv", "detect", "", "current_mA:float f0_GHz:float Ql:float Qe:float "
+                    "theta:float residual_metric:float converged:float",
                     "one hanger fit per trace in bias order; converged is 1 or 0"),
     "series": _schema("residual_series.csv", "detect", "", "shift_kappa residual",
                       "residual metric on the kappa/4 frequency-shift grid"),
@@ -121,28 +123,28 @@ synthetic measurement campaign (JSON object)
                         "density in 1 / GHz / um^2 and the count, each with its 68% interval"),
     "posterior_plot": _schema("posterior.svg", "infer", "", "",
                               "marginal likelihood of the rate and count posterior"),
-    "densities": _schema("densities.csv", "", "correlate",
-                         "treatment resonator_id rho ci_lo ci_hi",
+    "densities": _schema("densities.csv", "", "correlate", "treatment:text resonator_id:text "
+                         "rho:number>=0 ci_lo:number>=0 ci_hi:number>=0",
                          "per-resonator densities, passed as --densities"),
     "morphology": _schema("morphology.csv", "", "correlate",
-                          "device_label electrode_thickness_mean "
+                          "device_label:text electrode_thickness_mean "
                           "electrode_thickness_std electrode_thickness_rms "
                           "grain_width_mean grain_width_std junction_thickness_mean "
                           "junction_thickness_std junction_thickness_rms tls_density",
                           "per-device microstructure, passed as --morphology; the "
                           "columns between device_label and tls_density are features"),
-    "normality_tests": _schema("normality_tests.csv", "correlate", "", "treatment n W p",
+    "normality_tests": _schema("normality_tests.csv", "correlate", "", "treatment:text n W p",
                                "Shapiro-Wilk test of the densities per treatment"),
-    "rank_tests": _schema("rank_tests.csv", "correlate", "", "treatment_1 treatment_2 H p",
-                          "Kruskal-Wallis test of each pair of treatments"),
+    "rank_tests": _schema("rank_tests.csv", "correlate", "", "treatment_1:text treatment_2:text "
+                          "H p", "Kruskal-Wallis test of each pair of treatments"),
     "gamma_fits": _schema("gamma_fits.csv", "correlate", "",
-                          "treatment n shape scale mean mean_stderr",
+                          "treatment:text n shape scale mean mean_stderr",
                           "gamma MLE of the densities per treatment"),
     "device_summaries": _schema("device_summaries.csv", "correlate", "",
-                                "treatment n rho_mean sigma_plus sigma_minus",
+                                "treatment:text n rho_mean sigma_plus sigma_minus",
                                 "mean density per treatment with its 68% half-widths"),
     "feature_correlations": _schema("feature_correlations.csv", "correlate", "",
-                                    "feature pearson_r pearson_p spearman_rho spearman_p",
+                                    "feature:text pearson_r pearson_p spearman_rho spearman_p",
                                     "each morphology feature against tls_density"),
     "correlation_report": _schema("correlation_report.json", "correlate", "",
                                   "threshold:number loocv_r2:number ridge_alpha:number>0 "
@@ -184,7 +186,7 @@ def schema_text(name: str | None = None, *, stage: str | None = None) -> str:
             out.append(f"  columns: {','.join(s.fields)}")
         elif s.fields:
             out.append("  keys:" + ("  (? may be absent)" if s.keys != s.fields else ""))
-            out += [f"    {f}: {t}" for f, t in zip(s.fields, s.types)]
+        out += [f"    {f}: {t}" for f, t in zip(s.fields, s.types)]
     return "\n".join(out)
 
 
@@ -277,19 +279,17 @@ def read_record(path: Path, name: str) -> dict:
     _check_fields(path, name, raw, "key(s)")
     for key, kind in zip(SCHEMAS[name].keys, SCHEMAS[name].types):
         if key in raw:
-            _check(raw[key], f"{path}: {key}", kind)
+            _checker(kind)(raw[key], f"{path}: {key}")
     return raw
 
 
-def read_csv(path: Path, name: str, text=(), data: bytes | None = None,
-             finite: bool = True) -> list:
-    """Columns of a CSV of schema ``name`` in table order: float arrays, and
-    lists of stripped strings for the ``text`` columns.  ``data`` is the
-    file's bytes if they are already read.  Extra columns are ignored.  An
-    error names the first bad line, checking on a line the column count,
-    then parsing, then (unless not ``finite``) finiteness.
-    """
-    cols = SCHEMAS[name].fields
+def read_csv(path: Path, name: str, data: bytes | None = None) -> list:
+    """Columns of a CSV of schema ``name`` in table order, each of its table
+    type: ``text`` a list of stripped strings, ``float`` an array of doubles,
+    ``number`` of finite ones, ``number>=0`` of finite ones not below 0.
+    ``data`` is the file's bytes if they are already read.  Extra columns are
+    ignored.  An error names the first bad line, checking on a line the
+    column count, then parsing, then the range."""
     try:
         data = Path(path).read_bytes() if data is None else data
         reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
@@ -310,20 +310,21 @@ def read_csv(path: Path, name: str, text=(), data: bytes | None = None,
     if good < len(rows):
         faults.append((good, 0, f"expected {n} columns, got {len(rows[good])}"))
     out = []
-    for c in cols:
+    for c, kind in zip(SCHEMAS[name].fields, SCHEMAS[name].types):
         cells = by_header[header.index(c)]
-        if c in text:
-            out.append([s.strip() for s in cells])
+        if kind == "text":
+            out.append([cell.strip() for cell in cells])
             continue
         values = []
         try:
             values.extend(map(float, cells))  # keeps the floats parsed before an error
         except ValueError as exc:
             faults.append((len(values), 1, str(exc)))
-        out.append(np.array(values))
-        bad = np.flatnonzero(~np.isfinite(out[-1]))
-        if finite and bad.size:
-            faults.append((bad[0], 2, f"column {c} is not finite"))
+        out.append(x := np.array(values))
+        bad = np.flatnonzero(~np.isfinite(x) | (kind == "number>=0") & (x < 0))
+        if kind != "float" and bad.size:
+            fault = "negative" if np.isfinite(x[bad[0]]) else "not finite"
+            faults.append((bad[0], 2, f"column {c} is {fault}"))
     if faults:
         k, _, msg = min(faults, key=lambda f: f[:2])
         lineno = [i for i, r in enumerate(records, start=2) if r][k]
@@ -380,7 +381,7 @@ CONFIG_KEYS = {
 
 def _section(obj, name: str, label: str) -> dict:
     """``obj`` if it is a JSON object that holds only keys ``CONFIG_KEYS[name]`` names."""
-    _check(obj, label, "object")
+    _checker("object")(obj, label)
     if extra := sorted(set(obj) - set(CONFIG_KEYS[name])):
         raise SchemaError(f"{label}{'.' if name else ': '}{extra[0]}: unknown key; "
                           f"{label} takes {', '.join(CONFIG_KEYS[name])} only")
@@ -410,27 +411,29 @@ def checked_pair(value, field: str) -> tuple[float, float]:
     return tuple(checked_number(v, f"{field}[{k}]") for k, v in enumerate(value))
 
 
-def _check(value, field: str, kind: str) -> None:
-    """Raise unless ``value`` is of ``kind``, a JSON type as the table writes it:
-    int>=N, number, number>0 (finite), pair (of numbers), text, list, object,
-    [type] (a list of that type) or {key:type,...} (an object holding those keys)."""
+@functools.cache
+def _checker(kind: str):
+    """``check(value, field)``: raise unless ``value`` is of JSON type ``kind``: int>=N,
+    number, number>0 (finite), pair, text, list, object, [type] or {key:type,...}."""
     if kind.startswith("int>="):
-        checked_int(value, field, int(kind[5:]))
-    elif kind.startswith("number"):
-        checked_number(value, field, kind == "number>0")
-    elif kind == "pair":
-        checked_pair(value, field)
-    elif kind.startswith("["):
-        _items(value, field, _check, kind[1:-1])
-    else:
-        keys = [p.partition(":")[::2] for p in kind[1:-1].split(",")] if kind[0] == "{" else []
-        shown, want = {"text": ("text", str), "list": ("a list", list),
-                       "object": ("an object", dict)}["object" if keys else kind]
+        return functools.partial(checked_int, low=int(kind[5:]))
+    if kind.startswith("number"):
+        return functools.partial(checked_number, positive=kind == "number>0")
+    if kind == "pair":
+        return checked_pair
+    if kind.startswith("["):
+        return functools.partial(_items, check=_checker(kind[1:-1]))
+    keys = [p.partition(":")[::2] for p in kind[1:-1].split(",")] if kind[0] == "{" else []
+    shown, want = {"text": ("text", str), "list": ("a list", list),
+                   "object": ("an object", dict)}["object" if keys else kind]
+    held = " with " + ", ".join(k for k, _ in keys) if keys else ""
+
+    def check(value, field: str) -> None:
         if not (isinstance(value, want) and all(k in value for k, _ in keys)):
-            held = " with " + ", ".join(k for k, _ in keys) if keys else ""
             raise SchemaError(f"{field} must be {shown}{held}, got {value!r}")
         for k, sub in keys:
-            _check(value[k], f"{field}.{k}", sub)
+            _checker(sub)(value[k], f"{field}.{k}")
+    return check
 
 
 def _interval(value, field: str) -> tuple[int, int]:
@@ -546,14 +549,16 @@ def calibration_from_dict(raw: dict, path: Path) -> DetectorCalibration:
 # correlate inputs
 
 def read_densities_csv(path: Path) -> dict:
-    """-> {column: values}: treatment and resonator_id are lists of strings,
-    the rest float arrays, in row order."""
-    cols = SCHEMAS["densities"].fields
-    return dict(zip(cols, read_csv(path, "densities", text=cols[:2])))
+    """-> {column: values} as the table types them, in row order; each ci_lo <= ci_hi."""
+    out = dict(zip(SCHEMAS["densities"].fields, read_csv(path, "densities")))
+    for rid, lo, hi in zip(out["resonator_id"], out["ci_lo"], out["ci_hi"]):
+        if lo > hi:
+            raise SchemaError(f"{path}: resonator {rid}: ci_lo {lo} is above ci_hi {hi}")
+    return out
 
 
 def read_morphology_csv(path: Path):
     """-> (device_labels, feature_matrix, feature_names, tls_density)."""
-    labels, *features, density = read_csv(path, "morphology", text=("device_label",))
+    labels, *features, density = read_csv(path, "morphology")
     return (labels, np.stack(features, axis=1), list(SCHEMAS["morphology"].fields[1:-1]),
             density)

@@ -60,8 +60,7 @@ def _loop_fits(table: Path, blobs: dict, trace_files) -> tuple[list, list] | Non
         currents = [trace_current(p, blobs[p]) for p in trace_files]
     except SchemaError:  # parsed in full, where the error is raised as before
         return None
-    bias, *cols = (c.tolist() for c in read_csv(table, "loop_fits", data=blobs[table],
-                                                 finite=False))
+    bias, *cols = (c.tolist() for c in read_csv(table, "loop_fits", data=blobs[table]))
     if bias != currents or bias != sorted(bias):
         return None
     return currents, [FitResult(ResonatorParams(*row[:8]), row[8], bool(row[9]), int(row[10]))

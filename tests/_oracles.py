@@ -470,7 +470,8 @@ def ridge_loocv_predictions_fold_loop(X: np.ndarray, y: np.ndarray, alphas) -> n
 
 # --------------------------------------------------------------------------
 # the row-wise CSV writer and reader that fileio's column-wise ones replace,
-# as they were (their helpers fnum and _cell included)
+# as they were (their helpers fnum and _cell included), except that the
+# reader takes each column's type from the schema table
 
 def fnum(x) -> str:
     """Shortest round-trip decimal form of a float."""
@@ -503,11 +504,13 @@ def write_csv(outdir, name: str, rows, tag: str = ""):
     return write_text(outdir, name, "\n".join(lines) + "\n", tag)
 
 
-def read_csv(path, name: str, text=()) -> list[list]:
+def read_csv(path, name: str) -> list[list]:
     """Rows of a CSV of schema ``name``, its columns in table order.
 
-    Cells parse as finite floats except in the ``text`` columns, which
-    are stripped strings.  Extra columns are ignored; errors name the line.
+    Cells parse by their column's type in the table: ``text`` cells are
+    stripped strings, the rest floats; ``float`` cells may be any double,
+    ``number`` cells must be finite and ``number>=0`` cells also not below 0.
+    Extra columns are ignored; errors name the line.
     """
     import csv
     import math
@@ -515,14 +518,15 @@ def read_csv(path, name: str, text=()) -> list[list]:
     from jjtls.errors import SchemaError
     from jjtls.fileio import SCHEMAS, _check_fields
 
-    cols = SCHEMAS[name].fields
+    s = SCHEMAS[name]
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
             _check_fields(path, name, header, "column(s)")
-            parse = [(header.index(c), str.strip if c in text else float) for c in cols]
+            parse = [(header.index(c), str.strip if t == "text" else float)
+                     for c, t in zip(s.fields, s.types)]
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
@@ -533,9 +537,11 @@ def read_csv(path, name: str, text=()) -> list[list]:
                     cells = [conv(row[i]) for i, conv in parse]
                 except ValueError as exc:
                     raise SchemaError(f"{path}:{lineno}: {exc}")
-                for c, v in zip(cols, cells):
-                    if c not in text and not math.isfinite(v):
+                for c, t, v in zip(s.fields, s.types, cells):
+                    if t in ("number", "number>=0") and not math.isfinite(v):
                         raise SchemaError(f"{path}:{lineno}: column {c} is not finite")
+                    if t == "number>=0" and v < 0:
+                        raise SchemaError(f"{path}:{lineno}: column {c} is negative")
                 rows.append(cells)
         except csv.Error as exc:  # a cell over csv.field_size_limit()
             raise SchemaError(f"{path}:{reader.line_num}: {exc}")

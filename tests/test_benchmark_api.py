@@ -10,6 +10,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import jjtls
@@ -215,3 +216,28 @@ def test_checks_read_keys_of_the_schemas():
     assert not missing, f"perfbench/checks.py reads keys its schemas lack: {missing}"
     assert {"detection_meta", "calibration", "estimate", "manifest",
             "manifest.outputs[]"} <= read
+
+
+def test_benchmark_inputs_read_through_the_table(tmp_path, monkeypatch):
+    # the correlate inputs the benchmark runs on: the fixture's, and the
+    # wideband-survey ones perfbench/workloads.py generates, at three seeds.
+    # A table type that refused one of them fails here, not in a benchmark run
+    from jjtls.fileio import read_densities_csv, read_morphology_csv
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads.py imports checks
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    inputs = [{"densities": FIXTURES / "densities.csv",
+               "morphology": FIXTURES / "morphology.csv"}]
+    inputs += [workloads.WidebandSurvey(seed).generate(tmp_path / str(seed))
+               for seed in (1, 11, 13)]
+    for files in inputs:
+        dens = read_densities_csv(files["densities"])
+        assert len(dens["rho"]) in (40, 200)
+        for key in ("morphology", "morphology_constant"):
+            if key in files:
+                labels, X, _, density = read_morphology_csv(files[key])
+                assert X.shape == (len(labels), 8) and len(density) == len(labels)

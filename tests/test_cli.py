@@ -994,14 +994,23 @@ class TestCorrelate:
         assert any("fewer than 2 varying features" in n for n in notices)
         assert not (out / "correlation_report.json").exists()
 
-    @pytest.mark.parametrize("name,column,cell", [
-        ("morphology.csv", "grain_width_mean", "nan"),
-        ("densities.csv", "rho", "inf"),
+    @pytest.mark.parametrize("name,cells,message", [
+        pytest.param("morphology.csv", {"grain_width_mean": "nan"},
+                     ":4: column grain_width_mean is not finite",
+                     id="morphology.csv-grain_width_mean-nan"),
+        pytest.param("densities.csv", {"rho": "inf"}, ":4: column rho is not finite",
+                     id="densities.csv-rho-inf"),
+        pytest.param("densities.csv", {"rho": "-0.5"}, ":4: column rho is negative",
+                     id="densities.csv-rho--0.5"),
+        pytest.param("densities.csv", {"ci_lo": "9.0", "ci_hi": "0.01"},
+                     ": resonator r2: ci_lo 9.0 is above ci_hi 0.01",
+                     id="densities.csv-ci_lo-9.0-ci_hi-0.01"),
     ])
-    def test_non_finite_cell_named(self, tmp_path, capsys, name, column, cell):
+    def test_non_finite_cell_named(self, tmp_path, capsys, name, cells, message):
         rows = [r.split(",") for r in
                 (FIXTURES / name).read_text().strip().splitlines()]
-        rows[3][rows[0].index(column)] = cell
+        for column, cell in cells.items():
+            rows[3][rows[0].index(column)] = cell
         p = tmp_path / name
         p.write_text("\n".join(",".join(r) for r in rows) + "\n")
         inputs = {"densities.csv": FIXTURES / "densities.csv",
@@ -1009,9 +1018,8 @@ class TestCorrelate:
         assert main(["correlate", "--densities", str(inputs["densities.csv"]),
                      "--morphology", str(inputs["morphology.csv"]),
                      "--outdir", str(tmp_path / "c")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
-        assert f"{p}:4: column {column} is not finite" in err
+        assert capsys.readouterr().err == f"error: {p}{message}\n"
+        assert not any((tmp_path / "c").rglob("*"))
 
     def test_missing_column_named(self, tmp_path, capsys):
         rows = (FIXTURES / "densities.csv").read_text().splitlines()
@@ -1050,8 +1058,7 @@ class TestCorrelate:
         assert main(["correlate", "--densities", str(FIXTURES / "densities.csv"),
                      "--morphology", str(FIXTURES / "morphology.csv"),
                      "--outdir", str(out), "--repeats", "2"]) == 0
-        treatments, _, shape, scale, *_ = read_csv(out / "gamma_fits.csv", "gamma_fits",
-                                                   text=("treatment",))
+        treatments, _, shape, scale, *_ = read_csv(out / "gamma_fits.csv", "gamma_fits")
         assert len(fits) == len(treatments) == 5
         for t, k, theta in zip(treatments, shape, scale):
             xs, cdf = lines[f"{t} gamma fit"]
@@ -1197,20 +1204,23 @@ class TestSchemaAndReport:
         assert seen == {k for k, s in SCHEMAS.items() if s.path.endswith(".json") and s.fields}
 
     def test_schema_text_types_every_json_key(self):
-        # jjtls schema prints each key's type from the table the readers check
+        # jjtls schema prints each CSV column's and JSON key's type from the
+        # table the readers check, and every type is one its reader knows
         from jjtls.fileio import SCHEMAS, schema_text
 
-        named = [k for k, s in SCHEMAS.items() if s.path.endswith(".json") and s.fields]
-        assert len(named) == 9
+        named = [k for k, s in SCHEMAS.items() if s.fields]
+        assert sum(SCHEMAS[k].path.endswith(".json") for k in named) == 9
+        assert sum(SCHEMAS[k].path.endswith(".csv") for k in named) == 13
         for name in named:
             s = SCHEMAS[name]
             lines = schema_text(name).splitlines()
+            known = ({"text", "float", "number", "number>=0"} if s.path.endswith(".csv") else
+                     {"int>=0", "int>=1", "number", "number>0", "pair", "text", "list", "object"})
             for field, kind in zip(s.fields, s.types):
                 assert kind and f"    {field}: {kind}" in lines, (name, field)
-                # every type named inside [type] and {key:type,...} is one _check knows
+                # every type named inside [type] and {key:type,...} is one the reader knows
                 leaves = {t.rpartition(":")[2] for t in re.split(r"[][{},]", kind) if t}
-                assert leaves <= {"int>=0", "int>=1", "number", "number>0", "pair", "text",
-                                  "list", "object"}, (name, field)
+                assert leaves <= known, (name, field)
 
     def test_schema_flag_names_every_written_file(self, all_stages, capsys):
         _, written = all_stages

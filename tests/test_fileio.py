@@ -7,7 +7,7 @@ import pytest
 
 import _oracles
 from jjtls.errors import SchemaError, ValidationError
-from jjtls.fileio import (CONFIG_KEYS, MIN_ENSEMBLE_SIZE, SCHEMAS, load_pipeline_config,
+from jjtls.fileio import (CONFIG_KEYS, MIN_ENSEMBLE_SIZE, SCHEMAS, _schema, load_pipeline_config,
                           load_scenario, read_csv, read_densities_csv, read_morphology_csv,
                           trace_from_csv, write_csv, write_json, write_record, write_text)
 from jjtls.manifest import config_hash, write_manifest
@@ -108,9 +108,9 @@ def as_rows(columns):
                                    for c in columns))]
 
 
-def read_outcome(read, path, name, text):
+def read_outcome(read, path, name):
     try:
-        got = read(path, name, text)
+        got = read(path, name)
     except SchemaError as exc:
         return "error", str(exc)
     return "ok", repr(got if read is _oracles.read_csv else as_rows(got))
@@ -136,16 +136,22 @@ class TestCsvMatchesRowOracle:
                 == _oracles.write_csv(tmp_path / "old", name, [], "0000").path.read_bytes())
 
     @pytest.mark.parametrize("name", CSV_SCHEMAS)
-    def test_read_back_equal(self, tmp_path, name):
+    def test_read_back_equal(self, tmp_path, monkeypatch, name):
+        s = SCHEMAS[name]
         for seed in range(6):
             cols, text = random_columns(name, seed, finite=True)
+            # both readers take a column's type from the table, so the entry is
+            # replaced by one typing this seed's text columns text, the rest number
+            fields = " ".join(f"{f}:text" if f in text else f for f in s.fields)
+            monkeypatch.setitem(SCHEMAS, name, _schema(s.path, " ".join(s.writers),
+                                                       " ".join(s.readers), fields, s.note))
             p = write_csv(tmp_path, name, cols, "0000").path
-            got = read_csv(p, name, text)
-            for field, col in zip(SCHEMAS[name].fields, got):
+            got = read_csv(p, name)
+            for field, col in zip(s.fields, got):
                 assert isinstance(col, list) if field in text else col.dtype == float
-            old = _oracles.read_csv(p, name, text)
+            old = _oracles.read_csv(p, name)
             assert repr(as_rows(got)) == repr(old)
-            numeric = [j for j, f in enumerate(SCHEMAS[name].fields) if f not in text]
+            numeric = [j for j, f in enumerate(s.fields) if f not in text]
             for j in numeric:
                 assert np.array_equal(got[j], np.array([r[j] for r in old]))
 
@@ -163,61 +169,81 @@ def trace_text(*edits, header=TRACE_HEADER, tail=""):
 
 DENSITIES_HEADER = "treatment,resonator_id,rho,ci_lo,ci_hi"
 
-# (id, schema, text columns, file contents)
+
+def loop_fits_text(*edits):
+    """A four-row loop_fits CSV; each edit is (line number, column, cell)."""
+    rows = [[f"{50 + k}.0", "5.0", "5000.0", "1e4", "0.1", "1.0", "0.0", "0.5", "0.0",
+             "1e-4", "1", "9"] for k in range(4)]
+    for lineno, column, cell in edits:
+        rows[lineno - 2][SCHEMAS["loop_fits"].fields.index(column)] = cell
+    return "\n".join(",".join(r) for r in [SCHEMAS["loop_fits"].fields, *rows]) + "\n"
+
+
+# (id, schema, file contents)
 MALFORMED = [
-    ("column_count", "trace", (), trace_text((4, "1.5,5.0,0.1"))),
-    ("unparsable_cell", "trace", (), trace_text((3, "1.5,5.0,oops,0.2"))),
-    ("nan_cell", "trace", (), trace_text((5, "1.5,5.0,nan,0.2"))),
-    ("inf_cell", "trace", (), trace_text((5, "1.5,inf,0.1,0.2"))),
-    ("minus_inf_cell", "trace", (), trace_text((2, "-inf,5.0,0.1,0.2"))),
-    ("missing_column", "trace", (), trace_text(header="current_mA,freq_GHz,re_s21")),
-    ("empty_file", "trace", (), ""),
-    ("header_only", "trace", (), TRACE_HEADER + "\n"),
-    ("header_and_blank_lines", "trace", (), TRACE_HEADER + "\n\n\n"),
-    ("trailing_blank_lines", "trace", (), trace_text(tail="\n\n\n")),
-    ("blank_line_then_fault", "trace", (), trace_text((3, ""), (6, "1.5,5.0,x,0.2"))),
-    ("whitespace_line", "trace", (), trace_text((4, "   "))),
-    ("extra_text_column", "trace", (),
+    ("column_count", "trace", trace_text((4, "1.5,5.0,0.1"))),
+    ("unparsable_cell", "trace", trace_text((3, "1.5,5.0,oops,0.2"))),
+    ("nan_cell", "trace", trace_text((5, "1.5,5.0,nan,0.2"))),
+    ("inf_cell", "trace", trace_text((5, "1.5,inf,0.1,0.2"))),
+    ("minus_inf_cell", "trace", trace_text((2, "-inf,5.0,0.1,0.2"))),
+    ("missing_column", "trace", trace_text(header="current_mA,freq_GHz,re_s21")),
+    ("empty_file", "trace", ""),
+    ("header_only", "trace", TRACE_HEADER + "\n"),
+    ("header_and_blank_lines", "trace", TRACE_HEADER + "\n\n\n"),
+    ("trailing_blank_lines", "trace", trace_text(tail="\n\n\n")),
+    ("blank_line_then_fault", "trace", trace_text((3, ""), (6, "1.5,5.0,x,0.2"))),
+    ("whitespace_line", "trace", trace_text((4, "   "))),
+    ("extra_text_column", "trace",
      "\n".join([TRACE_HEADER + ",note"] + [f"1.5,5.{k},0.1,0.2,take {k}"
                                            for k in range(4)]) + "\n"),
-    ("extra_column_short_row", "trace", (),
+    ("extra_column_short_row", "trace",
      TRACE_HEADER + ",note\n1.5,5.0,0.1,0.2,a\n1.5,5.1,0.1,0.2\n"),
-    ("quoted_numeric_cell", "trace", (), trace_text((3, '1.5,"5.0",0.1," 0.2 "'))),
-    ("quoted_newline_cell", "trace", (),
+    ("quoted_numeric_cell", "trace", trace_text((3, '1.5,"5.0",0.1," 0.2 "'))),
+    ("quoted_newline_cell", "trace",
      trace_text((3, '1.5,"5.0\n",0.1,0.2'), (5, "1.5,5.0,y,0.2"))),
-    ("two_faults_count_first", "trace", (),
+    ("two_faults_count_first", "trace",
      trace_text((3, "1.5,5.0,0.1"), (5, "1.5,5.0,nan,0.2"))),
-    ("two_faults_nonfinite_first", "trace", (),
+    ("two_faults_nonfinite_first", "trace",
      trace_text((3, "1.5,5.0,0.1,inf"), (5, "1.5,5.0"))),
-    ("two_faults_parse_first", "trace", (),
+    ("two_faults_parse_first", "trace",
      trace_text((3, "1.5,5.0,0.1,z"), (6, "nan,5.0,0.1,0.2"))),
-    ("parse_before_nonfinite_on_a_line", "trace", (), trace_text((4, "nan,5.0,0.1,x"))),
-    ("two_parse_faults_on_a_line", "trace", (), trace_text((4, "1.5,a,b,0.2"))),
-    ("two_nonfinite_on_a_line", "trace", (), trace_text((4, "1.5,nan,inf,0.2"))),
-    ("reordered_header_faults", "trace", (),
+    ("parse_before_nonfinite_on_a_line", "trace", trace_text((4, "nan,5.0,0.1,x"))),
+    ("two_parse_faults_on_a_line", "trace", trace_text((4, "1.5,a,b,0.2"))),
+    ("two_nonfinite_on_a_line", "trace", trace_text((4, "1.5,nan,inf,0.2"))),
+    ("reordered_header_faults", "trace",
      "im_s21,re_s21,freq_GHz,current_mA\n0.1,0.2,5.0,1.5\nx,0.2,y,1.5\n"),
-    ("underscore_and_spaces", "trace", (), trace_text((2, " 1_5 ,5.0e0,+0.1,-0\t"))),
-    ("oversized_cell", "trace", (), trace_text((3, "1" * 200_000 + ",5.0,0.1,0.2"))),
-    ("densities_text_stripped", "densities", ("treatment", "resonator_id"),
+    ("underscore_and_spaces", "trace", trace_text((2, " 1_5 ,5.0e0,+0.1,-0\t"))),
+    ("oversized_cell", "trace", trace_text((3, "1" * 200_000 + ",5.0,0.1,0.2"))),
+    ("densities_text_stripped", "densities",
      DENSITIES_HEADER + "\n A ,r0 ,0.1,0.05,0.2\nB,\"r,1\",0.2,0.1,0.3\n"),
-    ("densities_nonfinite_rho", "densities", ("treatment", "resonator_id"),
+    ("densities_nonfinite_rho", "densities",
      DENSITIES_HEADER + "\nA,r0,0.1,0.05,0.2\nnan,r1,nan,0.1,0.3\n"),
+    ("densities_negative_rho", "densities",
+     DENSITIES_HEADER + "\nA,r0,0.1,0.05,0.2\nA,r1,-0.5,0.1,0.3\n"),
+    ("densities_negative_before_nonfinite", "densities",
+     DENSITIES_HEADER + "\nA,r0,0.1,0.05,0.2\nA,r1,0.2,-0.1,inf\n"),
+    ("loop_fits_inf_metric", "loop_fits",
+     loop_fits_text((3, "residual_metric", "inf"), (3, "converged", "0"))),
+    ("loop_fits_nan_theta", "loop_fits", loop_fits_text((4, "theta", "nan"))),
+    ("loop_fits_unparsable_cell", "loop_fits",
+     loop_fits_text((4, "theta", "nan"), (5, "Q_l", "oops"))),
 ]
 
 
 # the files of MALFORMED that both readers accept
 ACCEPTED = {"trailing_blank_lines", "extra_text_column", "quoted_numeric_cell",
-            "underscore_and_spaces", "densities_text_stripped"}
+            "underscore_and_spaces", "densities_text_stripped", "loop_fits_inf_metric",
+            "loop_fits_nan_theta"}
 
 
 class TestMalformedCsvMatchesRowOracle:
-    @pytest.mark.parametrize("case,name,text,contents", MALFORMED,
+    @pytest.mark.parametrize("case,name,contents", MALFORMED,
                              ids=[c[0] for c in MALFORMED])
-    def test_same_outcome(self, tmp_path, case, name, text, contents):
+    def test_same_outcome(self, tmp_path, case, name, contents):
         p = tmp_path / "t.csv"
         p.write_text(contents)
-        got = read_outcome(read_csv, p, name, text)
-        assert got == read_outcome(_oracles.read_csv, p, name, text)
+        got = read_outcome(read_csv, p, name)
+        assert got == read_outcome(_oracles.read_csv, p, name)
         assert got[0] == ("ok" if case in ACCEPTED else "error")
 
 
